@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .integrators import IntegrationError
 from .mli import (
     MliConfig,
     PreparedLinearization,
@@ -202,7 +203,7 @@ class AsRtiController:
                         self.nlp, x_pred, self._z, mli.inner_iterations,
                         warm_active=self._warm, trace=trace,
                     )
-            except (QpInfeasibleError, QpSolverError):
+            except (QpInfeasibleError, QpSolverError, IntegrationError):
                 z_lin = self._z
                 fallback = True
                 self.fallbacks += 1

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 __all__ = [
     "OdeModel",
@@ -45,8 +44,8 @@ class OdeModel:
     ``rhs`` maps ``(x, u) -> xdot``; ``jac_x`` and ``jac_u`` return
     ``d xdot / dx`` (n_x, n_x) and ``d xdot / du`` (n_x, n_u).  If
     ``vectorized`` is set, all three callbacks must broadcast over one
-    leading batch axis, which enables the batched stage solver used by
-    the transcription layer.
+    leading batch axis; only ``radau3_step_batch`` requires it, and the
+    transcription layer then integrates all intervals in one batch.
     """
 
     n_x: int
@@ -67,6 +66,65 @@ class IntegrationResult:
     newton_iters: int = 0
 
 
+def _radau(model: OdeModel, x, u, h, sensitivities):
+    """Radau IIA Newton loop on one state ``(n_x,)`` or a batch ``(N, n_x)``.
+
+    ``h`` broadcasts against ``x``: a scalar for one state, ``(N, 1)`` for
+    a batch.  All batch entries share the Newton sweep, which stops once
+    every entry satisfies the stage tolerance.  Returns ``(x_next, S_x,
+    S_u, iters)``; the sensitivity arrays are None when not requested.
+    """
+    n = model.n_x
+    hb = h[..., None] if np.ndim(h) else h  # broadcasts against (n, n) blocks
+    JR = np.empty(x.shape[:-1] + (2 * n, 2 * n))
+    eye2n = np.eye(2 * n)
+
+    def stage_jacobian(X1, X2):
+        # stage-residual Jacobian at (X1, X2), filled into JR
+        J1 = model.jac_x(X1, u)
+        J2 = model.jac_x(X2, u)
+        JR[..., :n, :n] = -hb * RADAU_A[0, 0] * J1
+        JR[..., :n, n:] = -hb * RADAU_A[0, 1] * J1
+        JR[..., n:, :n] = -hb * RADAU_A[1, 0] * J2
+        JR[..., n:, n:] = -hb * RADAU_A[1, 1] * J2
+        JR[...] += eye2n
+        return J1, J2
+
+    f0 = model.rhs(x, u)
+    K = np.concatenate([f0, f0], axis=-1)  # warm guess: slope at x
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        X1 = x + h * (RADAU_A[0, 0] * K[..., :n] + RADAU_A[0, 1] * K[..., n:])
+        X2 = x + h * (RADAU_A[1, 0] * K[..., :n] + RADAU_A[1, 1] * K[..., n:])
+        res = np.concatenate([K[..., :n] - model.rhs(X1, u), K[..., n:] - model.rhs(X2, u)], axis=-1)
+        if not np.all(np.isfinite(res)):
+            raise IntegrationError("stage residual became non-finite")
+        if np.max(np.abs(res)) <= NEWTON_TOL:
+            break
+        stage_jacobian(X1, X2)
+        K = K - np.linalg.solve(JR, res[..., None])[..., 0]
+    else:
+        raise IntegrationError(
+            f"stage Newton did not reach {NEWTON_TOL:g} within {NEWTON_MAX_ITER} "
+            f"iterations (residual {np.max(np.abs(res)):.2e})"
+        )
+
+    x_next = x + h * (RADAU_B[0] * K[..., :n] + RADAU_B[1] * K[..., n:])
+    if not sensitivities:
+        return x_next, None, None, it
+
+    # Implicit function theorem on the converged stage system, solved for
+    # [J_x | J_u] at once.
+    J1, J2 = stage_jacobian(X1, X2)
+    rhs = np.empty(x.shape[:-1] + (2 * n, n + model.n_u))
+    rhs[..., :n, :n] = J1
+    rhs[..., n:, :n] = J2
+    rhs[..., :n, n:] = model.jac_u(X1, u)
+    rhs[..., n:, n:] = model.jac_u(X2, u)
+    dK = np.linalg.solve(JR, rhs)
+    S = hb * (RADAU_B[0] * dK[..., :n, :] + RADAU_B[1] * dK[..., n:, :])
+    return x_next, S[..., :n] + np.eye(n), S[..., n:], it
+
+
 def radau3_step(model: OdeModel, x, u, h, sensitivities=True) -> IntegrationResult:
     """Advance ``x`` by one 2-stage Radau IIA step of length ``h``.
 
@@ -80,53 +138,7 @@ def radau3_step(model: OdeModel, x, u, h, sensitivities=True) -> IntegrationResu
         raise ValueError(f"step length must be positive, got {h}")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = model.n_x
-
-    eye = np.eye(n)
-    JR = np.empty((2 * n, 2 * n))
-
-    def stage_jacobian(X1, X2):
-        # stage-residual Jacobian at (X1, X2), filled into JR and LU-factored
-        J1 = model.jac_x(X1, u)
-        J2 = model.jac_x(X2, u)
-        JR[:n, :n] = eye - h * RADAU_A[0, 0] * J1
-        JR[:n, n:] = -h * RADAU_A[0, 1] * J1
-        JR[n:, :n] = -h * RADAU_A[1, 0] * J2
-        JR[n:, n:] = eye - h * RADAU_A[1, 1] * J2
-        return J1, J2, lu_factor(JR, check_finite=False)
-
-    f0 = model.rhs(x, u)
-    K = np.concatenate([f0, f0])  # warm guess: slope at x
-    converged = False
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        X1 = x + h * (RADAU_A[0, 0] * K[:n] + RADAU_A[0, 1] * K[n:])
-        X2 = x + h * (RADAU_A[1, 0] * K[:n] + RADAU_A[1, 1] * K[n:])
-        res = np.concatenate([K[:n] - model.rhs(X1, u), K[n:] - model.rhs(X2, u)])
-        if not np.all(np.isfinite(res)):
-            raise IntegrationError("stage residual became non-finite")
-        if np.max(np.abs(res)) <= NEWTON_TOL:
-            converged = True
-            break
-        _, _, lu = stage_jacobian(X1, X2)
-        K = K - lu_solve(lu, res, check_finite=False)
-    if not converged:
-        raise IntegrationError(
-            f"stage Newton did not reach {NEWTON_TOL:g} within {NEWTON_MAX_ITER} iterations"
-        )
-
-    x_next = x + h * (RADAU_B[0] * K[:n] + RADAU_B[1] * K[n:])
-    if not sensitivities:
-        return IntegrationResult(x_next, None, None, it)
-
-    # Implicit function theorem on the converged stage system.
-    J1, J2, lu = stage_jacobian(X1, X2)
-    dK_dx = lu_solve(lu, np.vstack([J1, J2]), check_finite=False)
-    Ju1 = model.jac_u(X1, u)
-    Ju2 = model.jac_u(X2, u)
-    dK_du = lu_solve(lu, np.vstack([Ju1, Ju2]), check_finite=False)
-    S_x = eye + h * (RADAU_B[0] * dK_dx[:n] + RADAU_B[1] * dK_dx[n:])
-    S_u = h * (RADAU_B[0] * dK_du[:n] + RADAU_B[1] * dK_du[n:])
-    return IntegrationResult(x_next, S_x, S_u, it)
+    return IntegrationResult(*_radau(model, x, u, h, sensitivities))
 
 
 def radau3_step_batch(model: OdeModel, xs, us, hs, sensitivities=True):
@@ -143,61 +155,9 @@ def radau3_step_batch(model: OdeModel, xs, us, hs, sensitivities=True):
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    N, n = xs.shape
     if np.any(hs <= 0.0):
         raise ValueError("all step lengths must be positive")
-
-    f0 = model.rhs(xs, us)
-    K = np.concatenate([f0, f0], axis=1)  # (N, 2n)
-    h1 = hs[:, None]
-    eye2n = np.eye(2 * n)
-    converged = False
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        X1 = xs + h1 * (RADAU_A[0, 0] * K[:, :n] + RADAU_A[0, 1] * K[:, n:])
-        X2 = xs + h1 * (RADAU_A[1, 0] * K[:, :n] + RADAU_A[1, 1] * K[:, n:])
-        f1 = model.rhs(X1, us)
-        f2 = model.rhs(X2, us)
-        res = np.concatenate([K[:, :n] - f1, K[:, n:] - f2], axis=1)
-        if not np.all(np.isfinite(res)):
-            raise IntegrationError("stage residual became non-finite")
-        J1 = model.jac_x(X1, us)  # (N, n, n)
-        J2 = model.jac_x(X2, us)
-        hb = hs[:, None, None]
-        JR = np.empty((N, 2 * n, 2 * n))
-        JR[:, :n, :n] = -hb * RADAU_A[0, 0] * J1
-        JR[:, :n, n:] = -hb * RADAU_A[0, 1] * J1
-        JR[:, n:, :n] = -hb * RADAU_A[1, 0] * J2
-        JR[:, n:, n:] = -hb * RADAU_A[1, 1] * J2
-        JR += eye2n
-        if np.max(np.abs(res)) <= NEWTON_TOL:
-            converged = True
-            break
-        K = K - np.linalg.solve(JR, res[:, :, None])[:, :, 0]
-    if not converged:
-        worst = int(np.argmax(np.max(np.abs(res), axis=1)))
-        raise IntegrationError(
-            f"batched stage Newton stalled (worst batch entry {worst}, "
-            f"residual {np.max(np.abs(res)):.2e})"
-        )
-
-    x_next = xs + h1 * (RADAU_B[0] * K[:, :n] + RADAU_B[1] * K[:, n:])
-    if not sensitivities:
-        return x_next, None, None, it
-
-    m = model.n_u
-    Ju1 = model.jac_u(X1, us)
-    Ju2 = model.jac_u(X2, us)
-    rhs = np.empty((N, 2 * n, n + m))
-    rhs[:, :n, :n] = J1
-    rhs[:, n:, :n] = J2
-    rhs[:, :n, n:] = Ju1
-    rhs[:, n:, n:] = Ju2
-    dK = np.linalg.solve(JR, rhs)
-    hb = hs[:, None, None]
-    S = hb * (RADAU_B[0] * dK[:, :n, :] + RADAU_B[1] * dK[:, n:, :])
-    S_x = S[:, :, :n] + np.eye(n)
-    S_u = S[:, :, n:]
-    return x_next, S_x, S_u, it
+    return _radau(model, xs, us, hs[:, None], sensitivities)
 
 
 def simulate_plant(model: OdeModel, x, u, dt, substeps=10) -> np.ndarray:

@@ -18,12 +18,12 @@ absolutely from each QP solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, field
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import List
 
 import numpy as np
 
-from .nlp import Iterate, KktResidual, OcpNlp, eval_kkt
+from .nlp import Iterate, KktResidual, OcpNlp, _kkt_vectors_from_data, eval_kkt
 from .qp import (
     CondensedLhs,
     OcpQpData,
@@ -66,10 +66,6 @@ class PreparedLinearization:
     data: OcpQpData
     lhs: CondensedLhs
     param: np.ndarray
-
-    @property
-    def grad_f_ref(self):
-        return self.data.grad
 
 
 @dataclass
@@ -115,35 +111,6 @@ def prepare_linearization(nlp: OcpNlp, z: Iterate, x) -> PreparedLinearization:
     return PreparedLinearization(z.copy(), data, condense_lhs(data), np.asarray(x, dtype=float))
 
 
-# ---------------------------------------------------------------------------
-# Structured Jacobian-transpose products
-# ---------------------------------------------------------------------------
-
-
-def _eq_jac_t_mul(data: OcpQpData, lam):
-    return eq_jac_t_product(data.phi_x, data.phi_u, lam)
-
-
-def _ineq_jac_t_mul(data: OcpQpData, mu):
-    return ineq_jac_t_product(data, mu)
-
-
-def _kkt_from_data(data: OcpQpData, z: Iterate, x) -> KktResidual:
-    """KKT residuals computed from already-evaluated QP data."""
-    stat = data.grad - _eq_jac_t_mul(data, z.lam)
-    if data.n_h:
-        stat = stat - _ineq_jac_t_mul(data, z.mu)
-    eq = data.eq_res.copy()
-    eq[: data.n_x] -= x
-
-    def _norm(v):
-        return float(np.max(np.abs(v))) if np.size(v) else 0.0
-
-    ineq = _norm(np.maximum(0.0, -data.ineq_res))
-    comp = _norm(z.mu * data.ineq_res)
-    return KktResidual(_norm(stat), _norm(eq), ineq, comp)
-
-
 def _apply_step(z: Iterate, sol: QpSolution) -> Iterate:
     """Full step: primal delta update, multipliers taken absolutely."""
     return Iterate(z.w + sol.dw, sol.lam.copy(), sol.mu.copy())
@@ -173,7 +140,7 @@ def sqp_solve(nlp: OcpNlp, x, z0: Iterate, tol=1e-8, max_iter=100) -> SqpResult:
     warm = None
     for it in range(max_iter):
         data = build_qp_data(nlp, z.w, param=x)
-        kkt = _kkt_from_data(data, z, x)
+        kkt = KktResidual.from_vectors(*_kkt_vectors_from_data(data, z, x))
         if kkt.satisfied(tol):
             return SqpResult(z, kkt, True, it, log)
         sol = condense_rhs_and_solve(condense_lhs(data), data, x, warm_active=warm)
@@ -181,22 +148,35 @@ def sqp_solve(nlp: OcpNlp, x, z0: Iterate, tol=1e-8, max_iter=100) -> SqpResult:
         log.append(IterationRecord(it, kkt.stat, kkt.eq, float(np.max(np.abs(sol.dw)))))
         z = _apply_step(z, sol)
     data = build_qp_data(nlp, z.w, param=x)
-    kkt = _kkt_from_data(data, z, x)
+    kkt = KktResidual.from_vectors(*_kkt_vectors_from_data(data, z, x))
     return SqpResult(z, kkt, kkt.satisfied(tol), max_iter, log)
 
 
-def level_d(nlp: OcpNlp, x_pred, z_start: Iterate, n_iters, warm_active=None, trace=None) -> Iterate:
-    """Exactly ``n_iters`` full SQP iterations at a fixed parameter."""
+def _inner_iterations(nlp: OcpNlp, x_pred, z_start: Iterate, n_iters, warm, trace, qp_at) -> Iterate:
+    """Exactly ``n_iters`` full-step iterations on the QP ``qp_at`` forms.
+
+    ``qp_at(z)`` returns the matrix phase and the QP vectors at ``z``; the
+    levels B-D differ only in what it re-evaluates there.
+    """
     x_pred = np.asarray(x_pred, dtype=float)
     z = z_start.copy()
-    warm = warm_active
     for _ in range(n_iters):
-        data = build_qp_data(nlp, z.w, param=x_pred)
-        sol = condense_rhs_and_solve(condense_lhs(data), data, x_pred, warm_active=warm)
+        lhs, vectors = qp_at(z)
+        sol = condense_rhs_and_solve(lhs, vectors, x_pred, warm_active=warm)
         warm = sol.active_set
         z = _apply_step(z, sol)
         _trace_point(nlp, z, x_pred, trace)
     return z
+
+
+def level_d(nlp: OcpNlp, x_pred, z_start: Iterate, n_iters, warm_active=None, trace=None) -> Iterate:
+    """Exactly ``n_iters`` full SQP iterations at a fixed parameter."""
+
+    def qp_at(z):
+        data = build_qp_data(nlp, z.w, param=x_pred)
+        return condense_lhs(data), data
+
+    return _inner_iterations(nlp, x_pred, z_start, n_iters, warm_active, trace, qp_at)
 
 
 def level_c(
@@ -217,24 +197,20 @@ def level_c(
     constraint Jacobians; with exact frozen Jacobians it reduces to the
     plain objective gradient and level C coincides with level D.
     """
-    x_pred = np.asarray(x_pred, dtype=float)
-    z = z_start.copy()
-    warm = warm_active
-    for _ in range(n_iters):
-        data_j = build_qp_data(nlp, z.w, param=x_pred)
+    ref = prep.data
+
+    def qp_at(z):
+        data = build_qp_data(nlp, z.w, param=x_pred)
         a = (
-            data_j.grad
-            + _eq_jac_t_mul(prep.data, z.lam)
-            - _eq_jac_t_mul(data_j, z.lam)
+            data.grad
+            + eq_jac_t_product(ref.phi_x, ref.phi_u, z.lam)
+            - eq_jac_t_product(data.phi_x, data.phi_u, z.lam)
         )
-        if data_j.n_h:
-            a = a + _ineq_jac_t_mul(prep.data, z.mu) - _ineq_jac_t_mul(data_j, z.mu)
-        vectors = replace(prep.data, grad=a, eq_res=data_j.eq_res, ineq_res=data_j.ineq_res)
-        sol = condense_rhs_and_solve(prep.lhs, vectors, x_pred, warm_active=warm)
-        warm = sol.active_set
-        z = _apply_step(z, sol)
-        _trace_point(nlp, z, x_pred, trace)
-    return z
+        if data.n_h:
+            a = a + ineq_jac_t_product(ref, z.mu) - ineq_jac_t_product(data, z.mu)
+        return prep.lhs, replace(ref, grad=a, eq_res=data.eq_res, ineq_res=data.ineq_res)
+
+    return _inner_iterations(nlp, x_pred, z_start, n_iters, warm_active, trace, qp_at)
 
 
 def level_b(
@@ -252,19 +228,13 @@ def level_b(
     point by ``grad f(w_ref) + A_ref (w - w_ref)``; no derivative
     evaluations take place.
     """
-    x_pred = np.asarray(x_pred, dtype=float)
-    z = z_start.copy()
-    w_ref = prep.ref.w
-    warm = warm_active
-    for _ in range(n_iters):
+
+    def qp_at(z):
         g, h = nlp.constraint_values(z.w)
-        a = prep.grad_f_ref + hess_product(prep.lhs, z.w - w_ref)
-        vectors = replace(prep.data, grad=a, eq_res=g, ineq_res=h)
-        sol = condense_rhs_and_solve(prep.lhs, vectors, x_pred, warm_active=warm)
-        warm = sol.active_set
-        z = _apply_step(z, sol)
-        _trace_point(nlp, z, x_pred, trace)
-    return z
+        a = prep.data.grad + hess_product(prep.lhs, z.w - prep.ref.w)
+        return prep.lhs, replace(prep.data, grad=a, eq_res=g, ineq_res=h)
+
+    return _inner_iterations(nlp, x_pred, z_start, n_iters, warm_active, trace, qp_at)
 
 
 def level_a(prep: PreparedLinearization, x_pred, warm_active=None, trace_nlp=None, trace=None) -> Iterate:
@@ -291,14 +261,14 @@ def beta_vector(prep: PreparedLinearization, z_b: Iterate, nlp: OcpNlp):
     """
     data_b = build_qp_data(nlp, z_b.w)
     beta = (
-        prep.grad_f_ref
+        prep.data.grad
         + hess_product(prep.lhs, z_b.w - prep.ref.w)
         - data_b.grad
-        + _eq_jac_t_mul(data_b, z_b.lam)
-        - _eq_jac_t_mul(prep.data, z_b.lam)
+        + eq_jac_t_product(data_b.phi_x, data_b.phi_u, z_b.lam)
+        - eq_jac_t_product(prep.data.phi_x, prep.data.phi_u, z_b.lam)
     )
     if data_b.n_h:
-        beta = beta + _ineq_jac_t_mul(data_b, z_b.mu) - _ineq_jac_t_mul(prep.data, z_b.mu)
+        beta = beta + ineq_jac_t_product(data_b, z_b.mu) - ineq_jac_t_product(prep.data, z_b.mu)
     return beta
 
 
@@ -314,10 +284,7 @@ class ContractionDiagnostics:
     ``ratios`` are the per-iteration error quotients, ``kappa`` the
     terminal ratio (asymptotic linear rate), ``omega`` twice the fitted
     slope of ratio versus error, and ``radius_z`` the resulting
-    contraction-radius estimate ``2 (1 - kappa) / omega``.  The optional
-    fields hold externally estimated quantities (solution-map Lipschitz
-    constants and the level-B perturbation norm) when a caller provides
-    them.
+    contraction-radius estimate ``2 (1 - kappa) / omega``.
     """
 
     ratios: np.ndarray
@@ -325,10 +292,6 @@ class ContractionDiagnostics:
     omega: float
     contractive: bool
     radius_z: float
-    sigma: Optional[float] = None
-    sigma_b: Optional[float] = None
-    beta_norm: Optional[float] = None
-    radius_x: Optional[float] = None
 
 
 def estimate_contraction(errors) -> ContractionDiagnostics:

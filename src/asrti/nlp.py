@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .integrators import OdeModel, radau3_step, radau3_step_batch
+from .qp import build_qp_data, eq_jac_t_product, ineq_jac_t_product
 
 __all__ = [
     "OcpConfigError",
@@ -262,6 +263,15 @@ class KktResidual:
 
     def satisfied(self, tol):
         return self.max() <= tol
+
+    @classmethod
+    def from_vectors(cls, stat, eq, ineq, comp):
+        """Infinity norms of the four residual vectors (0 for an empty one)."""
+
+        def _norm(v):
+            return float(np.max(np.abs(v))) if np.size(v) else 0.0
+
+        return cls(_norm(stat), _norm(eq), _norm(ineq), _norm(comp))
 
 
 # ---------------------------------------------------------------------------
@@ -597,39 +607,6 @@ class OcpNlp(ParametricNlp):
             H[row:, self.s_slice(self.N)] = ht_block
         return H
 
-    def _kkt_vectors_structured(self, z, x):
-        """KKT residual vectors via the stage structure (no dense Jacobians)."""
-        g, h, phi_x, phi_u, hs_blocks, ht_block = self.constraint_blocks(z.w)
-        stride = self._stride
-        n_x = self.n_x
-        N = self.N
-        stat = self.grad_f(z.w)
-        gaps = z.lam[n_x:].reshape(N, n_x, 1)
-        sm = stat[: N * stride].reshape(N, stride)
-        sm[:, :n_x] -= np.matmul(phi_x.transpose(0, 2, 1), gaps)[:, :, 0]
-        sm[:, n_x:] -= np.matmul(phi_u.transpose(0, 2, 1), gaps)[:, :, 0]
-        sm[0, :n_x] -= z.lam[:n_x]
-        sm[1:, :n_x] += gaps[:-1, :, 0]
-        stat[N * stride :] += gaps[-1, :, 0]
-        row = 0
-        m0 = hs_blocks[0].shape[0] if hs_blocks else 0
-        if m0 and all(b.shape[0] == m0 for b in hs_blocks):
-            mu_s = z.mu[: N * m0].reshape(N, m0, 1)
-            stack = np.stack(hs_blocks)
-            sm -= np.matmul(stack.transpose(0, 2, 1), mu_s)[:, :, 0]
-            row = N * m0
-        else:
-            for k in range(N):
-                m = hs_blocks[k].shape[0]
-                if m:
-                    stat[k * stride : (k + 1) * stride] -= hs_blocks[k].T @ z.mu[row : row + m]
-                    row += m
-        if ht_block.shape[0]:
-            stat[N * stride :] -= ht_block.T @ z.mu[row:]
-        eq = g.copy()
-        eq[:n_x] -= x
-        return stat, eq, np.maximum(0.0, -h), z.mu * h
-
 
 def transcribe(spec: OcpSpec) -> OcpNlp:
     """Validate an OCP and build its compact parametric NLP."""
@@ -642,16 +619,27 @@ def transcribe(spec: OcpSpec) -> OcpNlp:
 # ---------------------------------------------------------------------------
 
 
+def _kkt_vectors_from_data(data, z: Iterate, x):
+    """KKT residual vectors of ``z`` from QP data evaluated at ``z.w``."""
+    stat = data.grad - eq_jac_t_product(data.phi_x, data.phi_u, z.lam)
+    if data.n_h:
+        stat = stat - ineq_jac_t_product(data, z.mu)
+    eq = data.eq_res.copy()
+    eq[: data.n_x] -= x
+    return stat, eq, np.maximum(0.0, -data.ineq_res), z.mu * data.ineq_res
+
+
 def kkt_vectors(nlp, z: Iterate, x):
     """Raw KKT residual vectors (stationarity, equality, ineq violation, comp).
 
     The Lagrangian convention is ``L = f - lam'(g + Mx) - mu'h``, so the
     stationarity vector is ``grad f - G'lam - H'mu``.  Transcribed NLPs
-    use their stage structure instead of assembling dense Jacobians.
+    evaluate their QP data at ``z.w`` and use its stage structure instead
+    of assembling dense Jacobians.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(nlp, OcpNlp):
-        return nlp._kkt_vectors_structured(z, x)
+        return _kkt_vectors_from_data(build_qp_data(nlp, z.w), z, x)
     G = nlp.jac_g(z.w)
     H = nlp.jac_h(z.w)
     stat = nlp.grad_f(z.w) - G.T @ z.lam - (H.T @ z.mu if nlp.n_h else 0.0)
@@ -669,9 +657,4 @@ def lagrange_gradient(nlp, z: Iterate, x=None):
 
 def eval_kkt(nlp, z: Iterate, x) -> KktResidual:
     """Infinity-norm KKT residuals of ``z`` at parameter ``x``."""
-    stat, eq, ineq, comp = kkt_vectors(nlp, z, x)
-
-    def _norm(v):
-        return float(np.max(np.abs(v))) if np.size(v) else 0.0
-
-    return KktResidual(_norm(stat), _norm(eq), _norm(ineq), _norm(comp))
+    return KktResidual.from_vectors(*kkt_vectors(nlp, z, x))

@@ -467,7 +467,6 @@ def condense_rhs_and_solve(
     x,
     warm_active=None,
     max_iter=DEFAULT_QP_MAX_ITER,
-    refine=1,
 ) -> QpSolution:
     """Vector phase: condense the right-hand side, solve, and expand.
 
@@ -475,18 +474,16 @@ def condense_rhs_and_solve(
     the matrices ``lhs`` was built from), forms the condensed gradient and
     bounds for parameter ``x``, solves the dense QP and expands the result
     to the full primal-dual space.  Equality multipliers are recovered by
-    back-substitution through the eliminated stationarity rows; ``refine``
-    fixed-active-set refinement passes polish the full-space KKT residual.
+    back-substitution through the eliminated stationarity rows; one
+    fixed-active-set refinement pass polishes the full-space KKT residual.
     """
     x = np.asarray(x, dtype=float)
     dw, lam, dense = _solve_vectors(
         lhs, data.grad, data.eq_res, data.ineq_res, x, warm_active, max_iter
     )
-    mu = dense.mu
-    for _ in range(refine):
-        dw, lam, mu = _refine_fixed_active(
-            lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, mu, dense.active_set
-        )
+    dw, lam, mu = _refine_fixed_active(
+        lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, dense.mu, dense.active_set
+    )
     return QpSolution(dw, lam, mu, dense.active_set, dense.iterations)
 
 

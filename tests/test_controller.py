@@ -4,9 +4,10 @@ from scipy.linalg import expm
 
 from asrti.benchmark import build_pendulum_ocp, pendulum_model
 from asrti.controller import AsRtiController, ControllerConfig, predict_state
-from asrti.integrators import OdeModel, radau3_step, simulate_plant
+from asrti.integrators import IntegrationError, OdeModel, radau3_step, simulate_plant
 from asrti.mli import sqp_solve
 from asrti.nlp import Iterate, eval_kkt, transcribe
+from asrti.qp import QpInfeasibleError
 
 
 @pytest.fixture()
@@ -231,16 +232,15 @@ class TestPerfectPrediction:
 
 
 class TestFallback:
-    def test_inner_failure_falls_back_to_previous_output(self, pendulum_nlp):
+    @pytest.mark.parametrize("error", [QpInfeasibleError, IntegrationError])
+    def test_inner_failure_falls_back_to_previous_output(self, pendulum_nlp, error):
         controller = AsRtiController(pendulum_nlp, ControllerConfig.from_name("as-rti-d-2"))
         x = np.array([0.2, 0.0, 0.0, 0.0])
         controller.prepare(x)
         controller.feedback(x)
 
         def broken(*args, **kwargs):
-            from asrti.qp import QpInfeasibleError
-
-            raise QpInfeasibleError("forced", violated=(0,))
+            raise error("forced")
 
         import asrti.controller as ctrl_mod
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,18 +124,41 @@ class TestRadauStep:
             fd = (plus - minus) / (2 * eps)
             assert np.allclose(res.S_u[:, 0], fd, rtol=1e-5, atol=1e-8)
 
-    def test_skipping_sensitivities_leaves_step_bit_identical(self):
-        model = pendulum_model()
+    @pytest.mark.parametrize("batch", [None, 6], ids=["radau3_step", "radau3_step_batch"])
+    def test_skipping_sensitivities_leaves_step_bit_identical(self, batch):
+        base = pendulum_model()
+        calls = {"jac_x": 0, "jac_u": 0}
+
+        def counted(name):
+            fn = getattr(base, name)
+
+            def wrapped(x, u):
+                calls[name] += 1
+                return fn(x, u)
+
+            return wrapped
+
+        model = replace(base, jac_x=counted("jac_x"), jac_u=counted("jac_u"))
+
+        def step(x, u, h, sensitivities):
+            if batch is None:
+                res = radau3_step(model, x, u, h, sensitivities)
+                return res.x_next, res.S_x, res.S_u, res.newton_iters
+            return radau3_step_batch(model, x, u, h, sensitivities)
+
         rng = np.random.default_rng(11)
+        shape = () if batch is None else (batch,)
         for _ in range(20):
-            x = rng.uniform(-1.0, 1.0, size=4)
-            u = rng.uniform(-30.0, 30.0, size=1)
-            h = rng.uniform(0.01, 0.25)
-            full = radau3_step(model, x, u, h)
-            bare = radau3_step(model, x, u, h, sensitivities=False)
-            assert bare.S_x is None and bare.S_u is None
-            assert np.array_equal(bare.x_next, full.x_next)
-            assert bare.newton_iters == full.newton_iters
+            x = rng.uniform(-1.0, 1.0, size=shape + (4,))
+            u = rng.uniform(-30.0, 30.0, size=shape + (1,))
+            h = rng.uniform(0.01, 0.25, size=shape)
+            full = step(x, u, h, True)
+            calls.update(jac_x=0, jac_u=0)
+            bare = step(x, u, h, False)
+            assert bare[1] is None and bare[2] is None
+            assert np.array_equal(bare[0], full[0])
+            assert bare[3] == full[3]
+            assert calls == {"jac_x": 2 * (bare[3] - 1), "jac_u": 0}
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
