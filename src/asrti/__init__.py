@@ -39,7 +39,6 @@ from .nlp import (
     OcpConfigError,
     OcpNlp,
     OcpSpec,
-    ParametricNlp,
     QuadraticStageCost,
     QuadraticTerminalCost,
     RadauDynamics,

@@ -12,7 +12,7 @@ counters).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -171,43 +171,47 @@ class AsRtiController:
                 self._z = self.nlp.cold_start(x)
             elapsed = time.perf_counter() - t0
         else:
-            if self._z is None:
-                self._z = self.nlp.cold_start(x)
-                self._prep = prepare_linearization(self.nlp, self._z, x)
+            # the iterate and the prepared linearization are committed
+            # together once every step has succeeded
+            z, prep = self._z, self._prep
+            if z is None:
+                z = self.nlp.cold_start(x)
+                prep = prepare_linearization(self.nlp, z, x)
                 x_pred = x.copy()
             else:
                 x_pred = predict_state(
-                    self.nlp, self.config.prediction, x, self._z, self.config.predictor
+                    self.nlp, self.config.prediction, x, z, self.config.predictor
                 )
-            z_lin = self._z
+            z_lin = z
             mli = self.config.mli
             try:
                 if self.config.mode == "rti":
                     pass
                 elif mli.level == "A":
                     z_lin = level_a(
-                        self._prep, x_pred, warm_active=self._warm, trace_nlp=self.nlp, trace=trace
+                        prep, x_pred, warm_active=self._warm, trace_nlp=self.nlp, trace=trace
                     )
                 elif mli.level == "B":
                     z_lin = level_b(
-                        self._prep, self.nlp, x_pred, self._z, mli.inner_iterations,
+                        prep, self.nlp, x_pred, z, mli.inner_iterations,
                         warm_active=self._warm, trace=trace,
                     )
                 elif mli.level == "C":
                     z_lin = level_c(
-                        self._prep, self.nlp, x_pred, self._z, mli.inner_iterations,
+                        prep, self.nlp, x_pred, z, mli.inner_iterations,
                         warm_active=self._warm, trace=trace,
                     )
                 else:
                     z_lin = level_d(
-                        self.nlp, x_pred, self._z, mli.inner_iterations,
+                        self.nlp, x_pred, z, mli.inner_iterations,
                         warm_active=self._warm, trace=trace,
                     )
             except (QpInfeasibleError, QpSolverError, IntegrationError):
-                z_lin = self._z
+                z_lin = z
                 fallback = True
-                self.fallbacks += 1
             self._prep = prepare_linearization(self.nlp, z_lin, x_pred)
+            self._z = z
+            self.fallbacks += int(fallback)
             elapsed = time.perf_counter() - t0
         self._phase = "feedback"
         self._pending_prep_s = elapsed

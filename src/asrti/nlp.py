@@ -10,13 +10,15 @@ with the stacked variable order ``w = (s_0, u_0, s_1, u_1, ..., s_N)``.
 The equality rows are the initial-state residual ``s_0 - x`` followed by
 the shooting gaps ``phi_k(s_k, u_k) - s_{k+1}``; the parameter ``x``
 enters only through the embedding matrix ``M`` (a minus-identity block on
-the initial-state rows).
+the initial-state rows).  Costs and inequality rows are quadratic and
+affine with constant data, so only the dynamics depend on ``w`` beyond a
+matrix product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
     "LinearTerminalConstraint",
     "control_bounds",
     "OcpSpec",
-    "ParametricNlp",
     "OcpNlp",
     "Iterate",
     "KktResidual",
@@ -53,25 +54,12 @@ class OcpConfigError(ValueError):
 
 
 class QuadraticStageCost:
-    """Stage cost ``scale * (s'Q s + u'R u)`` with exact derivatives."""
+    """Stage cost ``scale * (s'Q s + u'R u)``."""
 
     def __init__(self, Q, R, scale=1.0):
         self.Q = np.asarray(Q, dtype=float)
         self.R = np.atleast_2d(np.asarray(R, dtype=float))
         self.scale = float(scale)
-
-    def value(self, s, u):
-        return self.scale * (s @ self.Q @ s + u @ self.R @ u)
-
-    def gradient(self, s, u):
-        return np.concatenate([2.0 * self.scale * (self.Q @ s), 2.0 * self.scale * (self.R @ u)])
-
-    def hessian(self, s, u):
-        n, m = self.Q.shape[0], self.R.shape[0]
-        H = np.zeros((n + m, n + m))
-        H[:n, :n] = 2.0 * self.scale * self.Q
-        H[n:, n:] = 2.0 * self.scale * self.R
-        return H
 
 
 class QuadraticTerminalCost:
@@ -79,15 +67,6 @@ class QuadraticTerminalCost:
 
     def __init__(self, P):
         self.P = np.asarray(P, dtype=float)
-
-    def value(self, s):
-        return s @ self.P @ s
-
-    def gradient(self, s):
-        return 2.0 * (self.P @ s)
-
-    def hessian(self, s):
-        return 2.0 * self.P.copy()
 
 
 class RadauDynamics:
@@ -159,9 +138,14 @@ def control_bounds(n_x, lower, upper):
 class OcpSpec:
     """Multi-stage OCP: costs, dynamics and constraints over a time grid.
 
-    ``stage_costs``, ``dynamics`` and ``stage_constraints`` have one entry
-    per interval (constraints may be None); ``terminal_constraint`` may be
-    None.  The interval lengths in ``dt_grid`` need not be uniform.
+    ``stage_costs`` and ``dynamics`` have one entry per interval.  The
+    stage costs are :class:`QuadraticStageCost` objects sharing one
+    ``(Q, R)`` pair (only ``scale`` may vary per stage) and the terminal
+    cost is a :class:`QuadraticTerminalCost`.  ``stage_constraints`` is
+    None or a :class:`LinearStageConstraint` on every interval, all with
+    the same row count; ``terminal_constraint`` is None or a
+    :class:`LinearTerminalConstraint`.  ``validate`` rejects anything
+    else.  The interval lengths in ``dt_grid`` need not be uniform.
     """
 
     n_x: int
@@ -178,7 +162,7 @@ class OcpSpec:
         return len(self.dt_grid)
 
     def validate(self):
-        N = self.N
+        N, n_x, n_u = self.N, self.n_x, self.n_u
         if N < 1:
             raise OcpConfigError("horizon must contain at least one interval")
         dt = np.asarray(self.dt_grid, dtype=float)
@@ -186,47 +170,50 @@ class OcpSpec:
             raise OcpConfigError("all interval lengths must be positive")
         if len(self.stage_costs) != N or len(self.dynamics) != N:
             raise OcpConfigError("stage_costs and dynamics must have one entry per interval")
-        if self.stage_constraints is not None and len(self.stage_constraints) != N:
-            raise OcpConfigError("stage_constraints must have one entry per interval (or be None)")
-        s0 = np.zeros(self.n_x)
-        u0 = np.zeros(self.n_u)
+        costs = self.stage_costs
+        if not all(isinstance(c, QuadraticStageCost) for c in costs):
+            raise OcpConfigError("stage costs must be QuadraticStageCost objects")
+        Q, R = costs[0].Q, costs[0].R
+        if Q.shape != (n_x, n_x) or R.shape != (n_u, n_u):
+            raise OcpConfigError(f"stage cost weights: Q shape {Q.shape}, R shape {R.shape}")
+        if not all(np.array_equal(c.Q, Q) and np.array_equal(c.R, R) for c in costs):
+            raise OcpConfigError("stage costs must share one (Q, R) pair; only scale may vary")
+        if not isinstance(self.terminal_cost, QuadraticTerminalCost):
+            raise OcpConfigError("terminal cost must be a QuadraticTerminalCost")
+        if self.terminal_cost.P.shape != (n_x, n_x):
+            raise OcpConfigError(f"terminal cost weight shape {self.terminal_cost.P.shape}")
+        cons = self.stage_constraints
+        if cons is not None:
+            if len(cons) != N or not all(isinstance(c, LinearStageConstraint) for c in cons):
+                raise OcpConfigError(
+                    "stage_constraints must be None or a LinearStageConstraint on every interval"
+                )
+            if len({c.m for c in cons}) != 1:
+                raise OcpConfigError(
+                    "stage constraints must have the same row count on every interval"
+                )
+            for k, c in enumerate(cons):
+                if c.C_s.shape != (c.m, n_x) or c.C_u.shape != (c.m, n_u):
+                    raise OcpConfigError(f"stage constraint {k}: shapes inconsistent")
+        term = self.terminal_constraint
+        if term is not None:
+            if not isinstance(term, LinearTerminalConstraint):
+                raise OcpConfigError(
+                    "terminal constraint must be None or a LinearTerminalConstraint"
+                )
+            if term.C_s.shape != (term.m, n_x):
+                raise OcpConfigError("terminal constraint shape inconsistent")
+        s0 = np.zeros(n_x)
+        u0 = np.zeros(n_u)
         for k in range(N):
             try:
-                grad = np.asarray(self.stage_costs[k].gradient(s0, u0))
-                hess = np.asarray(self.stage_costs[k].hessian(s0, u0))
                 nxt, Sx, Su = self.dynamics[k].propagate(s0, u0, sensitivities=True)
             except (ValueError, IndexError) as exc:
-                raise OcpConfigError(f"stage {k} callback rejected probe inputs: {exc}") from exc
-            if grad.shape != (self.n_x + self.n_u,):
-                raise OcpConfigError(f"stage cost {k}: gradient shape {grad.shape}")
-            if hess.shape != (self.n_x + self.n_u, self.n_x + self.n_u):
-                raise OcpConfigError(f"stage cost {k}: hessian shape {hess.shape}")
-            if np.asarray(nxt).shape != (self.n_x,):
+                raise OcpConfigError(f"dynamics {k} rejected probe inputs: {exc}") from exc
+            if np.asarray(nxt).shape != (n_x,):
                 raise OcpConfigError(f"dynamics {k}: state shape {np.asarray(nxt).shape}")
-            if np.asarray(Sx).shape != (self.n_x, self.n_x) or np.asarray(Su).shape != (
-                self.n_x,
-                self.n_u,
-            ):
+            if np.asarray(Sx).shape != (n_x, n_x) or np.asarray(Su).shape != (n_x, n_u):
                 raise OcpConfigError(f"dynamics {k}: Jacobian shapes inconsistent")
-            con = self.stage_constraints[k] if self.stage_constraints is not None else None
-            if con is not None:
-                try:
-                    v = np.asarray(con.value(s0, u0))
-                    Cs, Cu = con.jacobians(s0, u0)
-                except (ValueError, IndexError) as exc:
-                    raise OcpConfigError(f"stage constraint {k} rejected probe inputs: {exc}") from exc
-                if v.shape != (con.m,) or Cs.shape != (con.m, self.n_x) or Cu.shape != (con.m, self.n_u):
-                    raise OcpConfigError(f"stage constraint {k}: shapes inconsistent")
-        try:
-            gT = np.asarray(self.terminal_cost.gradient(s0))
-        except (ValueError, IndexError) as exc:
-            raise OcpConfigError(f"terminal cost rejected probe inputs: {exc}") from exc
-        if gT.shape != (self.n_x,):
-            raise OcpConfigError(f"terminal cost gradient shape {gT.shape}")
-        if self.terminal_constraint is not None:
-            v = np.asarray(self.terminal_constraint.value(s0))
-            if v.shape != (self.terminal_constraint.m,):
-                raise OcpConfigError("terminal constraint shape inconsistent")
 
 
 # ---------------------------------------------------------------------------
@@ -279,57 +266,16 @@ class KktResidual:
 # ---------------------------------------------------------------------------
 
 
-class ParametricNlp:
-    """Generic parametric NLP ``min f(w) s.t. 0 = g(w) + Mx, 0 <= h(w)``.
-
-    Evaluation callbacks are supplied directly; ``jac_g`` / ``jac_h``
-    return dense Jacobians (n_g, n_w) and (n_h, n_w).  Instances are
-    immutable after construction and safe for concurrent evaluation.
-    """
-
-    def __init__(self, n_w, n_g, n_h, M, f, grad_f, g, jac_g, h=None, jac_h=None, hess_blocks=None):
-        self.n_w = n_w
-        self.n_g = n_g
-        self.n_h = n_h
-        self.M = np.asarray(M, dtype=float)
-        self._f = f
-        self._grad_f = grad_f
-        self._g = g
-        self._jac_g = jac_g
-        self._h = h
-        self._jac_h = jac_h
-        self._hess_blocks = hess_blocks
-
-    def f(self, w):
-        return float(self._f(w))
-
-    def grad_f(self, w):
-        return np.asarray(self._grad_f(w), dtype=float)
-
-    def g(self, w):
-        return np.asarray(self._g(w), dtype=float)
-
-    def jac_g(self, w):
-        return np.asarray(self._jac_g(w), dtype=float)
-
-    def h(self, w):
-        if self._h is None:
-            return np.zeros(0)
-        return np.asarray(self._h(w), dtype=float)
-
-    def jac_h(self, w):
-        if self._jac_h is None:
-            return np.zeros((0, self.n_w))
-        return np.asarray(self._jac_h(w), dtype=float)
-
-
-class OcpNlp(ParametricNlp):
+class OcpNlp:
     """Parametric NLP produced by multiple-shooting transcription.
 
-    Beyond the generic interface it exposes the stage structure needed by
-    the condensing layer (per-stage dynamics Jacobians, Hessian blocks,
-    constraint blocks) plus pack/unpack helpers and evaluation counters
-    used to audit which phases touch model callbacks.
+    The spec's constant stage data is built once: the weight pair
+    ``(Q, R)`` with per-stage scales, the N+1 Hessian blocks, the stage
+    inequality rows ``(N, m, n_x+n_u)`` with offsets ``(N, m)`` and the
+    terminal rows ``(m_T, n_x)`` with their offset.  The condensing layer
+    reads this stage structure together with the per-interval dynamics
+    Jacobians.  Pack/unpack helpers and evaluation counters, which audit
+    which phases touch model callbacks, complete the interface.
     """
 
     def __init__(self, spec: OcpSpec):
@@ -339,17 +285,10 @@ class OcpNlp(ParametricNlp):
         self.n_x = n_x
         self.n_u = n_u
         self._stride = n_x + n_u
-        n_w = (N + 1) * n_x + N * n_u
-        n_g = (N + 1) * n_x
-        self._stage_m = [
-            (spec.stage_constraints[k].m if spec.stage_constraints is not None and spec.stage_constraints[k] is not None else 0)
-            for k in range(N)
-        ]
-        self._term_m = spec.terminal_constraint.m if spec.terminal_constraint is not None else 0
-        n_h = int(sum(self._stage_m)) + self._term_m
-        M = np.zeros((n_g, n_x))
-        M[:n_x, :n_x] = -np.eye(n_x)
-        super().__init__(n_w, n_g, n_h, M, None, None, None, None)
+        self.n_w = (N + 1) * n_x + N * n_u
+        self.n_g = (N + 1) * n_x
+        self.M = np.zeros((self.n_g, n_x))
+        self.M[:n_x, :n_x] = -np.eye(n_x)
         self.counters = {"dynamics": 0, "dynamics_sens": 0, "cost": 0, "constraint": 0}
         # batched dynamics fast path: every interval one Radau step of a
         # shared vectorized model
@@ -361,41 +300,25 @@ class OcpNlp(ParametricNlp):
         if self._batched:
             self._batch_model = spec.dynamics[0].model
             self._batch_dts = np.array([d.dt for d in spec.dynamics], dtype=float)
-        # quadratic stage costs sharing one weight pair evaluate vectorized
-        self._quad_cost = all(
-            isinstance(c, QuadraticStageCost) for c in spec.stage_costs
-        ) and isinstance(spec.terminal_cost, QuadraticTerminalCost)
-        if self._quad_cost:
-            Q0 = spec.stage_costs[0].Q
-            R0 = spec.stage_costs[0].R
-            self._quad_cost = all(
-                c.Q is Q0 or np.array_equal(c.Q, Q0) for c in spec.stage_costs
-            ) and all(c.R is R0 or np.array_equal(c.R, R0) for c in spec.stage_costs)
-            if self._quad_cost:
-                self._cost_Q = np.asarray(Q0, dtype=float)
-                self._cost_R = np.atleast_2d(np.asarray(R0, dtype=float))
-                self._cost_scales = np.array([c.scale for c in spec.stage_costs])
-                self._hess_cache = None
-        # constant inequality Jacobian blocks are prebuilt once
-        self._linear_ineq = (
-            spec.stage_constraints is None
-            or all(c is None or isinstance(c, LinearStageConstraint) for c in spec.stage_constraints)
-        ) and (spec.terminal_constraint is None or isinstance(spec.terminal_constraint, LinearTerminalConstraint))
-        if self._linear_ineq:
-            self._hs_blocks_cache = [
-                (
-                    np.hstack([c.C_s, c.C_u])
-                    if (c := (spec.stage_constraints[k] if spec.stage_constraints is not None else None))
-                    is not None and c.m > 0
-                    else np.zeros((0, self._stride))
-                )
-                for k in range(N)
-            ]
-            self._ht_block_cache = (
-                np.atleast_2d(spec.terminal_constraint.C_s)
-                if spec.terminal_constraint is not None
-                else np.zeros((0, n_x))
-            )
+        self._cost_Q = spec.stage_costs[0].Q
+        self._cost_R = spec.stage_costs[0].R
+        self._cost_scales = np.array([c.scale for c in spec.stage_costs])
+        self._cost_P = spec.terminal_cost.P
+        stage_hess = np.zeros((N, self._stride, self._stride))
+        scale = 2.0 * self._cost_scales[:, None, None]
+        stage_hess[:, :n_x, :n_x] = scale * self._cost_Q
+        stage_hess[:, n_x:, n_x:] = scale * self._cost_R
+        self._hess = list(stage_hess) + [2.0 * self._cost_P]
+        cons = spec.stage_constraints
+        if cons is None:
+            cons = [LinearStageConstraint(np.zeros((0, n_x)), np.zeros((0, n_u)), np.zeros(0))] * N
+        self._ineq_C = np.array([np.hstack([c.C_s, c.C_u]) for c in cons])
+        self._ineq_offset = np.array([c.offset for c in cons])
+        term = spec.terminal_constraint
+        if term is None:
+            term = LinearTerminalConstraint(np.zeros((0, n_x)), np.zeros(0))
+        self._ineq_C_T, self._ineq_offset_T = term.C_s, term.offset
+        self.n_h = self._ineq_offset.size + self._ineq_offset_T.size
 
     # -- layout -----------------------------------------------------------
 
@@ -439,47 +362,25 @@ class OcpNlp(ParametricNlp):
     def f(self, w):
         states, controls = self.unpack(w)
         self.counters["cost"] += self.N + 1
-        if self._quad_cost:
-            stage = np.einsum("ki,ij,kj->k", states[: self.N], self._cost_Q, states[: self.N])
-            stage += np.einsum("ki,ij,kj->k", controls, self._cost_R, controls)
-            return float(self._cost_scales @ stage + self.spec.terminal_cost.value(states[self.N]))
-        val = sum(
-            self.spec.stage_costs[k].value(states[k], controls[k]) for k in range(self.N)
-        )
-        return float(val + self.spec.terminal_cost.value(states[self.N]))
+        stage = np.einsum("ki,ij,kj->k", states[: self.N], self._cost_Q, states[: self.N])
+        stage += np.einsum("ki,ij,kj->k", controls, self._cost_R, controls)
+        s_N = states[self.N]
+        return float(self._cost_scales @ stage + s_N @ self._cost_P @ s_N)
 
     def grad_f(self, w):
         states, controls = self.unpack(w)
         self.counters["cost"] += self.N + 1
         grad = np.empty(self.n_w)
-        if self._quad_cost:
-            sm = grad[: self.N * self._stride].reshape(self.N, self._stride)
-            scale = 2.0 * self._cost_scales[:, None]
-            sm[:, : self.n_x] = scale * (states[: self.N] @ self._cost_Q.T)
-            sm[:, self.n_x :] = scale * (controls @ self._cost_R.T)
-        else:
-            for k in range(self.N):
-                gk = self.spec.stage_costs[k].gradient(states[k], controls[k])
-                grad[k * self._stride : (k + 1) * self._stride] = gk
-        grad[self.s_slice(self.N)] = self.spec.terminal_cost.gradient(states[self.N])
+        sm = grad[: self.N * self._stride].reshape(self.N, self._stride)
+        scale = 2.0 * self._cost_scales[:, None]
+        sm[:, : self.n_x] = scale * (states[: self.N] @ self._cost_Q.T)
+        sm[:, self.n_x :] = scale * (controls @ self._cost_R.T)
+        grad[self.s_slice(self.N)] = 2.0 * (self._cost_P @ states[self.N])
         return grad
 
     def hess_blocks(self, w):
-        """Gauss-Newton Lagrangian Hessian: stage cost blocks only."""
-        if self._quad_cost:
-            if self._hess_cache is None:
-                states, controls = self.unpack(w)
-                self._hess_cache = [
-                    self.spec.stage_costs[k].hessian(states[k], controls[k])
-                    for k in range(self.N)
-                ] + [self.spec.terminal_cost.hessian(states[self.N])]
-            return self._hess_cache
-        states, controls = self.unpack(w)
-        blocks = [
-            self.spec.stage_costs[k].hessian(states[k], controls[k]) for k in range(self.N)
-        ]
-        blocks.append(self.spec.terminal_cost.hessian(states[self.N]))
-        return blocks
+        """Gauss-Newton Lagrangian Hessian: the constant stage cost blocks."""
+        return self._hess
 
     # -- constraints ------------------------------------------------------
 
@@ -508,104 +409,34 @@ class OcpNlp(ParametricNlp):
         g[self.n_x :] = (nxt - states[1:]).reshape(self.N * self.n_x)
         return g
 
+    def _ineq_values(self, w):
+        if self.n_h:
+            self.counters["constraint"] += self.N + (1 if self._ineq_offset_T.size else 0)
+        split = self.N * self._stride
+        stage = np.matmul(self._ineq_C, w[:split].reshape(self.N, self._stride, 1))[:, :, 0]
+        return np.concatenate([
+            (stage + self._ineq_offset).reshape(-1),
+            self._ineq_C_T @ w[split:] + self._ineq_offset_T,
+        ])
+
     def constraint_values(self, w):
         """Equality and inequality residual vectors (no derivatives)."""
         states, controls = self.unpack(w)
         nxt, _, _ = self._propagate_all(states, controls, sensitivities=False)
-        return self._eq_residual(states, nxt), self._ineq_values(states, controls)
+        return self._eq_residual(states, nxt), self._ineq_values(w)
 
     def constraint_blocks(self, w):
         """Residuals plus the stage-structured Jacobian blocks.
 
         Returns ``(g, h, phi_x, phi_u, hs_blocks, ht_block)`` where
-        ``phi_x``/``phi_u`` are the dynamics Jacobians per interval and the
-        inequality blocks are per-stage ``(m_k, n_x + n_u)`` arrays.
+        ``phi_x``/``phi_u`` are the dynamics Jacobians per interval,
+        ``hs_blocks`` the constant ``(N, m, n_x + n_u)`` stage inequality
+        rows and ``ht_block`` the ``(m_T, n_x)`` terminal rows.
         """
         states, controls = self.unpack(w)
         nxt, Sx, Su = self._propagate_all(states, controls, sensitivities=True)
         g = self._eq_residual(states, nxt)
-        h = self._ineq_values(states, controls)
-        if self._linear_ineq:
-            return g, h, Sx, Su, self._hs_blocks_cache, self._ht_block_cache
-        hs_blocks = []
-        if self.spec.stage_constraints is not None:
-            self.counters["constraint"] += self.N
-            for k in range(self.N):
-                con = self.spec.stage_constraints[k]
-                if con is None or con.m == 0:
-                    hs_blocks.append(np.zeros((0, self._stride)))
-                    continue
-                Cs, Cu = con.jacobians(states[k], controls[k])
-                hs_blocks.append(np.hstack([Cs, Cu]))
-        else:
-            hs_blocks = [np.zeros((0, self._stride))] * self.N
-        if self.spec.terminal_constraint is not None:
-            ht_block = np.atleast_2d(self.spec.terminal_constraint.jacobians(states[self.N]))
-        else:
-            ht_block = np.zeros((0, self.n_x))
-        return g, h, Sx, Su, hs_blocks, ht_block
-
-    def _ineq_values(self, states, controls):
-        if self.n_h == 0:
-            return np.zeros(0)
-        self.counters["constraint"] += self.N + (1 if self._term_m else 0)
-        cons = self.spec.stage_constraints
-        if (
-            self._linear_ineq
-            and cons is not None
-            and all(c is cons[0] for c in cons)
-            and cons[0] is not None
-        ):
-            con = cons[0]
-            stage = states[: self.N] @ con.C_s.T + controls @ con.C_u.T + con.offset
-            parts = [stage.reshape(self.N * con.m)]
-        else:
-            parts = []
-            if cons is not None:
-                for k in range(self.N):
-                    con = cons[k]
-                    if con is not None and con.m > 0:
-                        parts.append(con.value(states[k], controls[k]))
-        if self._term_m:
-            parts.append(self.spec.terminal_constraint.value(states[self.N]))
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def g(self, w):
-        return self.constraint_values(w)[0]
-
-    def h(self, w):
-        return self.constraint_values(w)[1]
-
-    def jac_g(self, w):
-        _, _, Sx, Su, _, _ = self.constraint_blocks(w)
-        return self.assemble_eq_jacobian(Sx, Su)
-
-    def jac_h(self, w):
-        _, _, _, _, hs_blocks, ht_block = self.constraint_blocks(w)
-        return self.assemble_ineq_jacobian(hs_blocks, ht_block)
-
-    def assemble_eq_jacobian(self, phi_x, phi_u):
-        """Dense equality Jacobian from the dynamics blocks."""
-        G = np.zeros((self.n_g, self.n_w))
-        G[: self.n_x, : self.n_x] = np.eye(self.n_x)
-        for k in range(self.N):
-            rows = slice((k + 1) * self.n_x, (k + 2) * self.n_x)
-            G[rows, self.s_slice(k)] = phi_x[k]
-            G[rows, self.u_slice(k)] = phi_u[k]
-            G[rows, self.s_slice(k + 1)] = -np.eye(self.n_x)
-        return G
-
-    def assemble_ineq_jacobian(self, hs_blocks, ht_block):
-        H = np.zeros((self.n_h, self.n_w))
-        row = 0
-        for k in range(self.N):
-            m = hs_blocks[k].shape[0]
-            if m:
-                H[row : row + m, k * self._stride : (k + 1) * self._stride] = hs_blocks[k]
-                row += m
-        if ht_block.shape[0]:
-            H[row:, self.s_slice(self.N)] = ht_block
-        return H
+        return g, self._ineq_values(w), Sx, Su, self._ineq_C, self._ineq_C_T
 
 
 def transcribe(spec: OcpSpec) -> OcpNlp:
@@ -629,32 +460,21 @@ def _kkt_vectors_from_data(data, z: Iterate, x):
     return stat, eq, np.maximum(0.0, -data.ineq_res), z.mu * data.ineq_res
 
 
-def kkt_vectors(nlp, z: Iterate, x):
+def kkt_vectors(nlp: OcpNlp, z: Iterate, x):
     """Raw KKT residual vectors (stationarity, equality, ineq violation, comp).
 
     The Lagrangian convention is ``L = f - lam'(g + Mx) - mu'h``, so the
-    stationarity vector is ``grad f - G'lam - H'mu``.  Transcribed NLPs
-    evaluate their QP data at ``z.w`` and use its stage structure instead
-    of assembling dense Jacobians.
+    stationarity vector is ``grad f - G'lam - H'mu``.  The QP data at
+    ``z.w`` supplies the stage structure of ``G`` and ``H``.
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(nlp, OcpNlp):
-        return _kkt_vectors_from_data(build_qp_data(nlp, z.w), z, x)
-    G = nlp.jac_g(z.w)
-    H = nlp.jac_h(z.w)
-    stat = nlp.grad_f(z.w) - G.T @ z.lam - (H.T @ z.mu if nlp.n_h else 0.0)
-    eq = nlp.g(z.w) + nlp.M @ x
-    hval = nlp.h(z.w)
-    ineq = np.maximum(0.0, -hval)
-    comp = z.mu * hval
-    return stat, eq, ineq, comp
+    return _kkt_vectors_from_data(build_qp_data(nlp, z.w), z, np.asarray(x, dtype=float))
 
 
-def lagrange_gradient(nlp, z: Iterate, x=None):
+def lagrange_gradient(nlp: OcpNlp, z: Iterate, x=None):
     """Gradient of the Lagrangian with respect to the primal variables."""
-    return kkt_vectors(nlp, z, np.zeros(nlp.M.shape[1]) if x is None else x)[0]
+    return kkt_vectors(nlp, z, np.zeros(nlp.n_x) if x is None else x)[0]
 
 
-def eval_kkt(nlp, z: Iterate, x) -> KktResidual:
+def eval_kkt(nlp: OcpNlp, z: Iterate, x) -> KktResidual:
     """Infinity-norm KKT residuals of ``z`` at parameter ``x``."""
     return KktResidual.from_vectors(*kkt_vectors(nlp, z, x))

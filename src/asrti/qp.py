@@ -16,9 +16,9 @@ re-solved cheaply for new right-hand sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, null_space
@@ -73,11 +73,13 @@ class QpInfeasibleError(RuntimeError):
 class OcpQpData:
     """One linearization of the OCP NLP, split into matrices and vectors.
 
-    Matrices: Hessian blocks (N stage blocks of size n_x+n_u plus the
-    terminal n_x block), dynamics Jacobians ``phi_x`` / ``phi_u`` and the
-    per-stage inequality blocks.  Vectors: objective gradient ``grad``,
-    equality residuals ``eq_res`` (initial-state value followed by the
-    shooting gaps) and inequality residuals ``ineq_res``.
+    Matrices: Hessian blocks (a list of N stage blocks of size n_x+n_u
+    plus the terminal n_x block), dynamics Jacobians ``phi_x`` /
+    ``phi_u``, the stage inequality rows ``(N, m, n_x+n_u)`` (a list of
+    equally sized blocks is stacked at construction) and the terminal rows.
+    Vectors: objective gradient ``grad``, equality residuals ``eq_res``
+    (initial-state value followed by the shooting gaps) and inequality
+    residuals ``ineq_res``.
     """
 
     N: int
@@ -86,12 +88,15 @@ class OcpQpData:
     hess_blocks: list
     phi_x: np.ndarray
     phi_u: np.ndarray
-    ineq_stage_blocks: list
+    ineq_stage_blocks: np.ndarray
     ineq_term_block: np.ndarray
     grad: np.ndarray
     eq_res: np.ndarray
     ineq_res: np.ndarray
     param: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.ineq_stage_blocks = np.asarray(self.ineq_stage_blocks, dtype=float)
 
     @property
     def n_w(self):
@@ -151,7 +156,7 @@ class CondensedLhs:
     TA: np.ndarray
     hess_stage: np.ndarray  # (N, n_x+n_u, n_x+n_u)
     hess_term: np.ndarray
-    ineq_stage_blocks: list
+    ineq_stage_blocks: np.ndarray  # (N, m, n_x+n_u)
     ineq_term_block: np.ndarray
     phi_x: np.ndarray
     phi_u: np.ndarray
@@ -179,41 +184,20 @@ class QpSolution:
 # ---------------------------------------------------------------------------
 
 
-def hess_product(lhs_or_data, v):
+def hess_product(lhs: CondensedLhs, v):
     """``A v`` for the block-diagonal stacked Hessian."""
-    N, n_x, n_u = lhs_or_data.N, lhs_or_data.n_x, lhs_or_data.n_u
-    stride = n_x + n_u
-    if isinstance(lhs_or_data, CondensedLhs):
-        Ab, At = lhs_or_data.hess_stage, lhs_or_data.hess_term
-    else:
-        Ab = np.stack(lhs_or_data.hess_blocks[:N])
-        At = lhs_or_data.hess_blocks[N]
+    split = lhs.N * (lhs.n_x + lhs.n_u)
     out = np.empty_like(v)
-    out[: N * stride] = np.matmul(
-        Ab, v[: N * stride].reshape(N, stride, 1)
-    ).reshape(N * stride)
-    out[N * stride :] = At @ v[N * stride :]
+    out[:split] = np.matmul(lhs.hess_stage, v[:split].reshape(lhs.N, -1, 1)).reshape(split)
+    out[split:] = lhs.hess_term @ v[split:]
     return out
 
 
 def ineq_jac_product(data_like, dw):
-    """``H dw`` from the per-stage inequality blocks."""
-    N, n_x, n_u = data_like.N, data_like.n_x, data_like.n_u
-    stride = n_x + n_u
-    stack = _uniform_ineq_stack(data_like)
-    if stack is not None:
-        m = stack.shape[1]
-        sm = dw[: N * stride].reshape(N, stride, 1)
-        parts = [np.matmul(stack, sm).reshape(N * m)]
-    else:
-        parts = []
-        for k in range(N):
-            blk = data_like.ineq_stage_blocks[k]
-            if blk.shape[0]:
-                parts.append(blk @ dw[k * stride : (k + 1) * stride])
-    if data_like.ineq_term_block.shape[0]:
-        parts.append(data_like.ineq_term_block @ dw[N * stride :])
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """``H dw`` from the stage and terminal inequality rows (QP data or lhs)."""
+    split = data_like.N * (data_like.n_x + data_like.n_u)
+    stage = np.matmul(data_like.ineq_stage_blocks, dw[:split].reshape(data_like.N, -1, 1))
+    return np.concatenate([stage.reshape(-1), data_like.ineq_term_block @ dw[split:]])
 
 
 def condense_lhs(data: OcpQpData) -> CondensedLhs:
@@ -227,10 +211,14 @@ def condense_lhs(data: OcpQpData) -> CondensedLhs:
     stride = n_x + n_u
     n_w = data.n_w
     nu_tot = N * n_u
-    for k in range(N + 1):
-        blk = data.hess_blocks[k]
-        if np.max(np.abs(blk - blk.T)) > 1e-9:
-            raise QpSolverError(f"Hessian block {k} is not symmetric")
+    Ab = np.stack(data.hess_blocks[:N])
+    At = np.array(data.hess_blocks[N], dtype=float, copy=True)
+    asym = np.append(
+        np.max(np.abs(Ab - Ab.transpose(0, 2, 1)), axis=(1, 2)), np.max(np.abs(At - At.T))
+    )
+    if np.any(asym > 1e-9):
+        k = int(np.argmax(asym > 1e-9))
+        raise QpSolverError(f"Hessian block {k} is not symmetric")
 
     # T maps stacked control steps to the full primal step with the
     # homogeneous dynamics recursion ds_{k+1} = phi_x ds_k + phi_u du_k
@@ -250,10 +238,9 @@ def condense_lhs(data: OcpQpData) -> CondensedLhs:
     # T' A stage by stage: A is block diagonal
     TA = np.empty((nu_tot, n_w))
     Ts = T[: N * stride].reshape(N, stride, nu_tot)
-    Ab = np.stack(data.hess_blocks[:N])
     blocks = np.matmul(Ts.transpose(0, 2, 1), Ab)  # (N, nu_tot, stride)
     TA[:, : N * stride] = blocks.transpose(1, 0, 2).reshape(nu_tot, N * stride)
-    TA[:, N * stride :] = T[N * stride :].T @ data.hess_blocks[N]
+    TA[:, N * stride :] = T[N * stride :].T @ At
     hess = TA @ T
     hess = 0.5 * (hess + hess.T)
     reg = 0.0
@@ -267,18 +254,11 @@ def condense_lhs(data: OcpQpData) -> CondensedLhs:
         except np.linalg.LinAlgError:
             raise QpSolverError("condensed Hessian not positive definite after regularization")
 
-    # condensed inequality rows stage by stage
-    n_h = data.n_h
-    ineq = np.empty((n_h, nu_tot))
-    row = 0
-    for k in range(N):
-        blk = data.ineq_stage_blocks[k]
-        m = blk.shape[0]
-        if m:
-            ineq[row : row + m] = blk @ Ts[k]
-            row += m
-    if data.ineq_term_block.shape[0]:
-        ineq[row:] = data.ineq_term_block @ T[N * stride :]
+    # condensed inequality rows: each stage's rows read that stage's T rows
+    ineq = np.concatenate([
+        np.matmul(data.ineq_stage_blocks, Ts).reshape(-1, nu_tot),
+        data.ineq_term_block @ T[N * stride :],
+    ])
 
     return CondensedLhs(
         N=N,
@@ -289,8 +269,8 @@ def condense_lhs(data: OcpQpData) -> CondensedLhs:
         T=T,
         TA=TA,
         hess_stage=Ab,
-        hess_term=np.array(data.hess_blocks[N], dtype=float, copy=True),
-        ineq_stage_blocks=[np.array(b, dtype=float, copy=True) for b in data.ineq_stage_blocks],
+        hess_term=At,
+        ineq_stage_blocks=np.array(data.ineq_stage_blocks, copy=True),
         ineq_term_block=np.array(data.ineq_term_block, dtype=float, copy=True),
         phi_x=np.array(phi_x, copy=True),
         phi_u=np.array(phi_u, copy=True),
@@ -333,39 +313,14 @@ def eq_jac_t_product(phi_x, phi_u, lam):
     return out
 
 
-def _uniform_ineq_stack(data):
-    cached = getattr(data, "_ineq_stack_cache", False)
-    if cached is not False:
-        return cached
-    blocks = data.ineq_stage_blocks
-    m = blocks[0].shape[0] if blocks else 0
-    stack = np.stack(blocks) if m and all(b.shape[0] == m for b in blocks) else None
-    data._ineq_stack_cache = stack
-    return stack
-
-
 def ineq_jac_t_product(data, mu):
-    """``H' mu`` from the per-stage inequality blocks (QP data or lhs)."""
-    N, n_x, n_u = data.N, data.n_x, data.n_u
-    stride = n_x + n_u
-    out = np.zeros(data.n_w)
-    stack = _uniform_ineq_stack(data)
-    if stack is not None:
-        m = stack.shape[1]
-        mu_s = mu[: N * m].reshape(N, m, 1)
-        out[: N * stride] = np.matmul(stack.transpose(0, 2, 1), mu_s).reshape(N * stride)
-        row = N * m
-    else:
-        row = 0
-        for k in range(N):
-            blk = data.ineq_stage_blocks[k]
-            m = blk.shape[0]
-            if m:
-                out[k * stride : (k + 1) * stride] += blk.T @ mu[row : row + m]
-                row += m
-    mt = data.ineq_term_block.shape[0]
-    if mt:
-        out[N * stride :] += data.ineq_term_block.T @ mu[row : row + mt]
+    """``H' mu`` from the stage and terminal inequality rows (QP data or lhs)."""
+    C = data.ineq_stage_blocks
+    N, m = C.shape[0], C.shape[1]
+    split = N * C.shape[2]
+    out = np.empty(data.n_w)
+    out[:split] = np.matmul(C.transpose(0, 2, 1), mu[: N * m].reshape(N, m, 1)).reshape(split)
+    out[split:] = data.ineq_term_block.T @ mu[N * m :]
     return out
 
 

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+import asrti
 
 from asrti.benchmark import (
     BenchmarkOptions,
@@ -286,10 +289,14 @@ class TestCli:
         assert rc == 0 and pareto.exists()
 
     def test_console_entry_point_help(self):
+        # the child interpreter imports the same asrti package as this one
+        root = os.path.dirname(os.path.dirname(asrti.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "asrti.benchmark.cli", "--help"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert out.returncode == 0
         assert "run" in out.stdout and "traces" in out.stdout and "pareto" in out.stdout

@@ -255,6 +255,35 @@ class TestFallback:
         assert np.all(np.isfinite(u))
 
 
+class TestPrepareFailure:
+    @pytest.mark.parametrize("name", ["as-rti-a", "as-rti-b-2", "as-rti-c-2", "as-rti-d-2"])
+    def test_failed_first_prepare_leaves_no_state(self, pendulum_nlp, monkeypatch, name):
+        import asrti.controller as ctrl_mod
+
+        x = np.array([0.0, 0.2, 0.0, 0.0])
+        fresh = AsRtiController(pendulum_nlp, ControllerConfig.from_name(name))
+        fresh.prepare(x)
+        u_ref, _ = fresh.feedback(x)
+
+        original = ctrl_mod.prepare_linearization
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise IntegrationError("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ctrl_mod, "prepare_linearization", fails_once)
+        controller = AsRtiController(pendulum_nlp, ControllerConfig.from_name(name))
+        with pytest.raises(IntegrationError):
+            controller.prepare(x)
+        assert controller.iterate is None
+        controller.prepare(x)  # the retry starts from scratch
+        u, _ = controller.feedback(x)
+        assert np.array_equal(u, u_ref)
+
+
 class TestTimings:
     def test_feedback_cheaper_than_preparation(self, pendulum_nlp):
         _, _, controller = run_cycles(

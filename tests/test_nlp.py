@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from asrti.benchmark import build_pendulum_ocp
 from asrti.nlp import (
     Iterate,
     LinearStageConstraint,
+    LinearTerminalConstraint,
     OcpConfigError,
     OcpSpec,
-    ParametricNlp,
     QuadraticStageCost,
     QuadraticTerminalCost,
     control_bounds,
@@ -49,6 +51,80 @@ def toy_spec(N=2, n_x=4, n_u=1):
     )
 
 
+def dense_jacobians(nlp, w):
+    """Residuals and dense Jacobians ``(g, h, G, H)`` assembled from the stage blocks."""
+    g, h, phi_x, phi_u, C, C_T = nlp.constraint_blocks(w)
+    N, n_x, m = nlp.N, nlp.n_x, C.shape[1]
+    G = np.zeros((nlp.n_g, nlp.n_w))
+    H = np.zeros((nlp.n_h, nlp.n_w))
+    G[:n_x, :n_x] = np.eye(n_x)
+    for k in range(N):
+        rows = slice((k + 1) * n_x, (k + 2) * n_x)
+        G[rows, nlp.s_slice(k)] = phi_x[k]
+        G[rows, nlp.u_slice(k)] = phi_u[k]
+        G[rows, nlp.s_slice(k + 1)] = -np.eye(n_x)
+        H[k * m : (k + 1) * m, nlp.s_slice(k).start : nlp.u_slice(k).stop] = C[k]
+    H[N * m :, nlp.s_slice(N)] = C_T
+    return g, h, G, H
+
+
+class QuarticStageCost:
+    """Stage cost ``sum(s**4) + sum(u**4)``: not quadratic."""
+
+    def value(self, s, u):
+        return float(np.sum(s**4) + np.sum(u**4))
+
+
+class NormConstraint:
+    """Nonlinear stage constraint ``1 - s's >= 0``."""
+
+    m = 1
+
+    def value(self, s, u):
+        return np.array([1.0 - s @ s])
+
+    def jacobians(self, s, u):
+        return -2.0 * s[None, :], np.zeros((1, u.shape[0]))
+
+
+# spec fields (for toy_spec(N=2, n_x=4, n_u=1)) that validate rejects, and
+# the message it gives
+UNSUPPORTED_SPECS = {
+    "non-quadratic cost": ({"stage_costs": [QuarticStageCost()] * 2}, "QuadraticStageCost"),
+    "stage weight shape": (
+        {"stage_costs": [QuadraticStageCost(np.eye(3), np.eye(1))] * 2}, "Q shape"
+    ),
+    "different Q": (
+        {"stage_costs": [QuadraticStageCost(k * np.eye(4), np.eye(1)) for k in (1, 2)]}, "share one"
+    ),
+    "non-quadratic terminal cost": ({"terminal_cost": QuarticStageCost()}, "QuadraticTerminalCost"),
+    "terminal weight shape": (
+        {"terminal_cost": QuadraticTerminalCost(np.eye(3))}, "terminal cost weight"
+    ),
+    "mix of None and constraint stages": (
+        {"stage_constraints": [None, control_bounds(4, -1.0, 1.0)]}, "every interval"
+    ),
+    "non-linear constraint": ({"stage_constraints": [NormConstraint()] * 2}, "every interval"),
+    "different row counts": (
+        {
+            "stage_constraints": [
+                control_bounds(4, -1.0, 1.0),
+                LinearStageConstraint(np.zeros((1, 4)), [[1.0]], [1.0]),
+            ]
+        },
+        "same row count",
+    ),
+    "stage constraint shape": (
+        {"stage_constraints": [LinearStageConstraint(np.zeros((1, 3)), [[1.0]], [1.0])] * 2}, "shapes"
+    ),
+    "non-linear terminal constraint": ({"terminal_constraint": object()}, "LinearTerminalConstraint"),
+    "terminal constraint shape": (
+        {"terminal_constraint": LinearTerminalConstraint(np.zeros((1, 3)), [1.0])},
+        "terminal constraint shape",
+    ),
+}
+
+
 class TestTranscription:
     def test_dimension_counts(self):
         nlp = transcribe(toy_spec(N=2, n_x=4, n_u=1))
@@ -84,7 +160,7 @@ class TestTranscription:
         for k in range(3):
             states.append(spec.dynamics[k].propagate(states[k], controls[k], False)[0])
         w = nlp.pack(np.array(states), controls)
-        g = nlp.g(w)
+        g, _ = nlp.constraint_values(w)
         assert np.max(np.abs(g + nlp.M @ x)) < 1e-12
 
     def test_variable_order_is_stage_interleaved(self):
@@ -108,26 +184,33 @@ class TestTranscription:
         with pytest.raises(OcpConfigError):
             transcribe(spec)
 
+    @pytest.mark.parametrize(
+        "fields,message", UNSUPPORTED_SPECS.values(), ids=UNSUPPORTED_SPECS.keys()
+    )
+    def test_unsupported_spec_rejected(self, fields, message):
+        with pytest.raises(OcpConfigError, match=message):
+            transcribe(replace(toy_spec(N=2), **fields))
 
-def scalar_nlp():
-    # min 1/2 w^2  s.t.  0 = -w + x
-    return ParametricNlp(
-        n_w=1,
-        n_g=1,
-        n_h=0,
-        M=np.array([[1.0]]),
-        f=lambda w: 0.5 * w[0] ** 2,
-        grad_f=lambda w: np.array([w[0]]),
-        g=lambda w: np.array([-w[0]]),
-        jac_g=lambda w: np.array([[-1.0]]),
+
+def one_interval_nlp():
+    # min s0^2 + u0^2 + s1^2  s.t.  0 = s0 - x,  0 = s0 + u0 - s1
+    return transcribe(
+        OcpSpec(
+            n_x=1,
+            n_u=1,
+            dt_grid=np.ones(1),
+            stage_costs=[QuadraticStageCost(np.eye(1), np.eye(1))],
+            terminal_cost=QuadraticTerminalCost(np.eye(1)),
+            dynamics=[LinearDynamics(1.0, 1.0)],
+        )
     )
 
 
 class TestKkt:
     def test_scalar_hand_solution_is_kkt_point(self):
-        nlp = scalar_nlp()
+        nlp = one_interval_nlp()
         x = np.array([0.7])
-        z = Iterate(np.array([0.7]), np.array([-0.7]), np.zeros(0))
+        z = Iterate(np.array([0.7, -0.35, 0.35]), np.array([2.1, -0.7]), np.zeros(0))
         kkt = eval_kkt(nlp, z, x)
         assert kkt.stat < 1e-14
         assert kkt.eq < 1e-14
@@ -174,12 +257,11 @@ class TestKkt:
         )
         x = 0.2 * rng.normal(size=4)
         stat, eq, ineq, comp = kkt_vectors(nlp, z, x)
-        G = nlp.jac_g(z.w)
-        H = nlp.jac_h(z.w)
+        g, h, G, H = dense_jacobians(nlp, z.w)
         assert np.allclose(stat, nlp.grad_f(z.w) - G.T @ z.lam - H.T @ z.mu, atol=1e-10)
-        assert np.allclose(eq, nlp.g(z.w) + nlp.M @ x, atol=1e-12)
-        assert np.allclose(ineq, np.maximum(0.0, -nlp.h(z.w)))
-        assert np.allclose(comp, z.mu * nlp.h(z.w))
+        assert np.allclose(eq, g + nlp.M @ x, atol=1e-12)
+        assert np.allclose(ineq, np.maximum(0.0, -h))
+        assert np.allclose(comp, z.mu * h)
 
 
 class TestDerivativeConsistency:
@@ -200,13 +282,13 @@ class TestDerivativeConsistency:
         nlp = transcribe(build_pendulum_ocp())
         rng = np.random.default_rng(7)
         w = 0.3 * rng.normal(size=nlp.n_w)
-        G = nlp.jac_g(w)
+        _, _, G, _ = dense_jacobians(nlp, w)
         eps = 1e-6
         idx = rng.choice(nlp.n_w, size=10, replace=False)
         for j in idx:
             dw = np.zeros(nlp.n_w)
             dw[j] = eps
-            fd = (nlp.g(w + dw) - nlp.g(w - dw)) / (2 * eps)
+            fd = (nlp.constraint_values(w + dw)[0] - nlp.constraint_values(w - dw)[0]) / (2 * eps)
             err = np.abs(G[:, j] - fd)
             scale = 1.0 + np.abs(fd)
             assert np.max(err / scale) < 1e-6

@@ -1,7 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asrti.benchmark import build_pendulum_ocp
 from asrti.nlp import transcribe
@@ -397,7 +400,39 @@ class TestCondensing:
         assert np.allclose(eq_jac_product(data.phi_x, data.phi_u, v), G @ v)
         assert np.allclose(ineq_jac_t_product(data, mu), H.T @ mu)
         assert np.allclose(ineq_jac_product(data, v), H @ v)
-        assert np.allclose(hess_product(data, v), A @ v)
+        assert np.allclose(hess_product(condense_lhs(data), v), A @ v)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 5),
+        n_x=st.integers(1, 4),
+        n_u=st.integers(1, 3),
+        m=st.integers(0, 3),
+        m_T=st.integers(0, 3),
+    )
+    @example(seed=0, N=3, n_x=2, n_u=1, m=0, m_T=2)
+    def test_structured_products_match_dense_oracle(self, seed, N, n_x, n_u, m, m_T):
+        rng = np.random.default_rng(seed)
+        data = replace(
+            random_ocp_qp(rng, N, n_x, n_u, n_bounds=False),
+            ineq_stage_blocks=list(rng.normal(size=(N, m, n_x + n_u))),
+            ineq_term_block=rng.normal(size=(m_T, n_x)),
+            ineq_res=rng.normal(size=N * m + m_T),
+        )
+        lhs = condense_lhs(data)
+        A, H = dense_blocks(data)
+        G = dense_eq_jacobian(data)
+        v = rng.normal(size=data.n_w)
+        lam = rng.normal(size=data.n_g)
+        mu = rng.normal(size=data.n_h)
+        assert np.allclose(eq_jac_product(data.phi_x, data.phi_u, v), G @ v)
+        assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
+        for rows in (data, lhs):
+            assert np.allclose(ineq_jac_product(rows, v), H @ v)
+            assert np.allclose(ineq_jac_t_product(rows, mu), H.T @ mu)
+        assert np.allclose(hess_product(lhs, v), A @ v)
+        assert np.allclose(lhs.ineq, H @ lhs.T)
 
     def test_asymmetric_hessian_block_rejected(self):
         rng = np.random.default_rng(15)
