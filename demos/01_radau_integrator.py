@@ -16,8 +16,8 @@ model = OdeModel(
     n_x=1,
     n_u=1,
     rhs=lambda x, u: -x**3 + u,
-    jac_x=lambda x, u: np.array([[-3.0 * x[0] ** 2]]),
-    jac_u=lambda x, u: np.ones((1, 1)),
+    jac_x=lambda x, u: (-3.0 * x**2)[..., None],
+    jac_u=lambda x, u: np.ones(x.shape + (1,)),
 )
 
 exact = 1.0 / np.sqrt(3.0)
@@ -37,8 +37,8 @@ stiff = OdeModel(
     n_x=1,
     n_u=1,
     rhs=lambda x, u: -1e6 * x,
-    jac_x=lambda x, u: np.array([[-1e6]]),
-    jac_u=lambda x, u: np.zeros((1, 1)),
+    jac_x=lambda x, u: np.full(x.shape + (1,), -1e6),
+    jac_u=lambda x, u: np.zeros(x.shape + (1,)),
 )
 res = radau3_step(stiff, np.array([1.0]), np.zeros(1), 0.05)
 print(f"\nstiff decay x' = -1e6 x, h = 0.05: |x_next| = {abs(res.x_next[0]):.2e} (< 1, A-stable)")

@@ -29,7 +29,7 @@ x_hat = np.array([0.15, 0.1, 0.0, 0.2])
 z_hat = sqp_solve(nlp, x_hat, nlp.cold_start(x_hat), tol=1e-12, max_iter=50).iterate
 u0 = nlp.first_control(z_hat.w)
 x_pred = radau3_step(pendulum_model(), x_hat, u0, 0.05, sensitivities=False).x_next
-prep = prepare_linearization(nlp, z_hat, x_hat)
+prep = prepare_linearization(nlp, z_hat)
 z_star = sqp_solve(nlp, x_pred, z_hat, tol=1e-12, max_iter=50).iterate
 print(f"advanced problem: |x_pred - x_hat| = {np.linalg.norm(x_pred - x_hat):.4f}")
 print(f"initial distance to solution: {np.linalg.norm(z_hat.stacked() - z_star.stacked()):.3e}\n")

@@ -41,7 +41,6 @@ from .nlp import (
     OcpSpec,
     QuadraticStageCost,
     QuadraticTerminalCost,
-    RadauDynamics,
     control_bounds,
     eval_kkt,
     kkt_vectors,

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..integrators import OdeModel, radau3_step
-from ..nlp import (
-    OcpSpec,
-    QuadraticStageCost,
-    QuadraticTerminalCost,
-    RadauDynamics,
-    control_bounds,
-)
+from ..nlp import OcpSpec, QuadraticStageCost, QuadraticTerminalCost, control_bounds
 
 __all__ = [
     "PendulumParams",
@@ -50,7 +44,7 @@ class PendulumParams:
 
 
 def pendulum_model(params: PendulumParams = None) -> OdeModel:
-    """Cart-pole ODE with analytic Jacobians, vectorized over batches."""
+    """Cart-pole ODE with analytic Jacobians that broadcast over a batch axis."""
     params = params or PendulumParams()
     params.validate()
     M, m, l, g = params.cart_mass, params.pole_mass, params.length, params.gravity
@@ -103,7 +97,7 @@ def pendulum_model(params: PendulumParams = None) -> OdeModel:
         J[..., 3, 0] = c / (l * den)
         return J
 
-    return OdeModel(n_x=4, n_u=1, rhs=rhs, jac_x=jac_x, jac_u=jac_u, vectorized=True)
+    return OdeModel(n_x=4, n_u=1, rhs=rhs, jac_x=jac_x, jac_u=jac_u)
 
 
 def dare_residual(P, A, B, Q, R):
@@ -176,7 +170,7 @@ def build_pendulum_ocp(
         dt_grid=dt_grid,
         stage_costs=[QuadraticStageCost(Q, R, scale=dt) for dt in dt_grid],
         terminal_cost=QuadraticTerminalCost(P),
-        dynamics=[RadauDynamics(model, dt) for dt in dt_grid],
+        model=model,
         stage_constraints=[bounds] * n_intervals,
         terminal_constraint=None,
     )

@@ -166,26 +166,15 @@ def _controller_config(name: str, options: BenchmarkOptions) -> ControllerConfig
 
 def _build_spec(options: BenchmarkOptions, reference: bool):
     ocp = options.ocp
-    if reference:
-        return build_pendulum_ocp(
-            params=options.pendulum,
-            n_intervals=options.reference.n_intervals,
-            horizon=ocp.horizon,
-            sampling_time=options.scenario.sampling_time,
-            state_weights=ocp.state_weights,
-            control_weight=ocp.control_weight,
-            control_limit=ocp.control_limit,
-            uniform_grid=True,
-        )
     return build_pendulum_ocp(
         params=options.pendulum,
-        n_intervals=ocp.n_intervals,
+        n_intervals=options.reference.n_intervals if reference else ocp.n_intervals,
         horizon=ocp.horizon,
         sampling_time=options.scenario.sampling_time,
         state_weights=ocp.state_weights,
         control_weight=ocp.control_weight,
         control_limit=ocp.control_limit,
-        uniform_grid=False,
+        uniform_grid=reference,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -53,10 +53,7 @@ class ControllerConfig:
     mode: str
     mli: Optional[MliConfig] = None
     inner_iterations: int = 1
-    prediction: str = "internal"
-    predictor: Optional[Callable] = None
     sqp_tol: float = 1e-8
-    qp_max_iter: int = 200
 
     def __post_init__(self):
         if self.mode not in ("rti", "as-rti", "sqp"):
@@ -65,10 +62,6 @@ class ControllerConfig:
             raise ValueError("as-rti mode requires an MliConfig")
         if self.inner_iterations < 1:
             raise ValueError("inner_iterations must be >= 1")
-        if self.prediction not in ("internal", "external"):
-            raise ValueError(f"unknown prediction strategy {self.prediction!r}")
-        if self.prediction == "external" and self.predictor is None:
-            raise ValueError("external prediction requires a predictor callback")
 
     @classmethod
     def from_name(cls, name: str, **kwargs) -> "ControllerConfig":
@@ -109,23 +102,13 @@ class CycleLog:
     feedback_residuals: Optional[tuple] = None
 
 
-def predict_state(nlp: OcpNlp, strategy, x, z: Iterate, predictor=None):
+def predict_state(nlp: OcpNlp, x, z: Iterate):
     """Predict the state one sampling interval ahead.
 
-    The internal strategy simulates the first-interval discrete dynamics
-    at the iterate's first-stage control; the external strategy delegates
-    to a user callback ``predictor(x, z)``.
+    Simulates the first-interval discrete dynamics at the iterate's
+    first-stage control.
     """
-    if strategy == "internal":
-        u0 = nlp.first_control(z.w)
-        nlp.counters["dynamics"] += 1
-        return np.asarray(
-            nlp.spec.dynamics[0].propagate(np.asarray(x, dtype=float), u0, sensitivities=False)[0],
-            dtype=float,
-        )
-    if strategy == "external":
-        return np.asarray(predictor(np.asarray(x, dtype=float), z), dtype=float)
-    raise ValueError(f"unknown prediction strategy {strategy!r}")
+    return nlp.simulate_first_interval(np.asarray(x, dtype=float), nlp.first_control(z.w))
 
 
 class AsRtiController:
@@ -176,12 +159,10 @@ class AsRtiController:
             z, prep = self._z, self._prep
             if z is None:
                 z = self.nlp.cold_start(x)
-                prep = prepare_linearization(self.nlp, z, x)
+                prep = prepare_linearization(self.nlp, z)
                 x_pred = x.copy()
             else:
-                x_pred = predict_state(
-                    self.nlp, self.config.prediction, x, z, self.config.predictor
-                )
+                x_pred = predict_state(self.nlp, x, z)
             z_lin = z
             mli = self.config.mli
             try:
@@ -209,7 +190,7 @@ class AsRtiController:
             except (QpInfeasibleError, QpSolverError, IntegrationError):
                 z_lin = z
                 fallback = True
-            self._prep = prepare_linearization(self.nlp, z_lin, x_pred)
+            self._prep = prepare_linearization(self.nlp, z_lin)
             self._z = z
             self.fallbacks += int(fallback)
             elapsed = time.perf_counter() - t0
@@ -240,8 +221,7 @@ class AsRtiController:
             z_new = res.iterate
         else:
             sol = condense_rhs_and_solve(
-                self._prep.lhs, self._prep.data, x_next,
-                warm_active=self._warm, max_iter=self.config.qp_max_iter,
+                self._prep.lhs, self._prep.data, x_next, warm_active=self._warm
             )
             self._warm = sol.active_set
             z_new = Iterate(self._prep.ref.w + sol.dw, sol.lam.copy(), sol.mu.copy())

@@ -42,10 +42,11 @@ class OdeModel:
     """Continuous-time model ``xdot = rhs(x, u)`` with analytic Jacobians.
 
     ``rhs`` maps ``(x, u) -> xdot``; ``jac_x`` and ``jac_u`` return
-    ``d xdot / dx`` (n_x, n_x) and ``d xdot / du`` (n_x, n_u).  If
-    ``vectorized`` is set, all three callbacks must broadcast over one
-    leading batch axis; only ``radau3_step_batch`` requires it, and the
-    transcription layer then integrates all intervals in one batch.
+    ``d xdot / dx`` (n_x, n_x) and ``d xdot / du`` (n_x, n_u).  All three
+    callbacks must broadcast over one leading batch axis: given states
+    ``(N, n_x)`` and controls ``(N, n_u)`` they return ``(N, n_x)``,
+    ``(N, n_x, n_x)`` and ``(N, n_x, n_u)``.  The transcription layer
+    integrates all shooting intervals in one batched step.
     """
 
     n_x: int
@@ -53,7 +54,6 @@ class OdeModel:
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    vectorized: bool = False
 
 
 @dataclass
@@ -144,14 +144,13 @@ def radau3_step(model: OdeModel, x, u, h, sensitivities=True) -> IntegrationResu
 def radau3_step_batch(model: OdeModel, xs, us, hs, sensitivities=True):
     """Solve a batch of independent Radau IIA steps in lockstep.
 
-    ``xs`` is (N, n_x), ``us`` (N, n_u) and ``hs`` (N,).  Requires a
-    ``vectorized`` model.  Returns ``(x_next, S_x, S_u, iters)`` with
-    batched shapes; the sensitivity arrays are None when not requested.
-    All systems share the Newton sweep and the iteration stops once every
-    batch entry satisfies the stage tolerance.
+    ``xs`` is (N, n_x), ``us`` (N, n_u) and ``hs`` (N,); the model's
+    callbacks must broadcast over the leading batch axis.  Returns
+    ``(x_next, S_x, S_u, iters)`` with batched shapes; the sensitivity
+    arrays are None when not requested.  All systems share the Newton
+    sweep and the iteration stops once every batch entry satisfies the
+    stage tolerance.
     """
-    if not model.vectorized:
-        raise ValueError("radau3_step_batch requires a vectorized OdeModel")
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     hs = np.asarray(hs, dtype=float)

@@ -58,14 +58,12 @@ class PreparedLinearization:
     """Frozen QP data at a reference point, ready for cheap re-solves.
 
     Holds the reference iterate, the full QP data evaluated there (with
-    the plain objective gradient), the condensed matrix phase and the
-    parameter the linearization was prepared for.
+    the plain objective gradient) and the condensed matrix phase.
     """
 
     ref: Iterate
     data: OcpQpData
     lhs: CondensedLhs
-    param: np.ndarray
 
 
 @dataclass
@@ -74,7 +72,6 @@ class MliConfig:
 
     level: str
     inner_iterations: int = 1
-    tol: float = 1e-8
 
     def __post_init__(self):
         self.level = self.level.upper()
@@ -105,10 +102,10 @@ class SqpResult:
     log: List[IterationRecord]
 
 
-def prepare_linearization(nlp: OcpNlp, z: Iterate, x) -> PreparedLinearization:
+def prepare_linearization(nlp: OcpNlp, z: Iterate) -> PreparedLinearization:
     """Evaluate full QP data at ``z`` and run the condensing matrix phase."""
-    data = build_qp_data(nlp, z.w, param=x)
-    return PreparedLinearization(z.copy(), data, condense_lhs(data), np.asarray(x, dtype=float))
+    data = build_qp_data(nlp, z.w)
+    return PreparedLinearization(z.copy(), data, condense_lhs(data))
 
 
 def _apply_step(z: Iterate, sol: QpSolution) -> Iterate:
@@ -139,7 +136,7 @@ def sqp_solve(nlp: OcpNlp, x, z0: Iterate, tol=1e-8, max_iter=100) -> SqpResult:
     log: List[IterationRecord] = []
     warm = None
     for it in range(max_iter):
-        data = build_qp_data(nlp, z.w, param=x)
+        data = build_qp_data(nlp, z.w)
         kkt = KktResidual.from_vectors(*_kkt_vectors_from_data(data, z, x))
         if kkt.satisfied(tol):
             return SqpResult(z, kkt, True, it, log)
@@ -147,7 +144,7 @@ def sqp_solve(nlp: OcpNlp, x, z0: Iterate, tol=1e-8, max_iter=100) -> SqpResult:
         warm = sol.active_set
         log.append(IterationRecord(it, kkt.stat, kkt.eq, float(np.max(np.abs(sol.dw)))))
         z = _apply_step(z, sol)
-    data = build_qp_data(nlp, z.w, param=x)
+    data = build_qp_data(nlp, z.w)
     kkt = KktResidual.from_vectors(*_kkt_vectors_from_data(data, z, x))
     return SqpResult(z, kkt, kkt.satisfied(tol), max_iter, log)
 
@@ -173,7 +170,7 @@ def level_d(nlp: OcpNlp, x_pred, z_start: Iterate, n_iters, warm_active=None, tr
     """Exactly ``n_iters`` full SQP iterations at a fixed parameter."""
 
     def qp_at(z):
-        data = build_qp_data(nlp, z.w, param=x_pred)
+        data = build_qp_data(nlp, z.w)
         return condense_lhs(data), data
 
     return _inner_iterations(nlp, x_pred, z_start, n_iters, warm_active, trace, qp_at)
@@ -200,7 +197,7 @@ def level_c(
     ref = prep.data
 
     def qp_at(z):
-        data = build_qp_data(nlp, z.w, param=x_pred)
+        data = build_qp_data(nlp, z.w)
         a = (
             data.grad
             + eq_jac_t_product(ref.phi_x, ref.phi_u, z.lam)

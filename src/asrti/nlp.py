@@ -1,8 +1,9 @@
 """Optimal control problems and their compact parametric NLP form.
 
 An :class:`OcpSpec` describes a horizon of ``N`` stages with stage costs,
-discrete dynamics, path constraints and a terminal cost.  ``transcribe``
-turns it into an :class:`OcpNlp`:
+one continuous-time model, path constraints and a terminal cost; the
+discrete dynamics of interval ``k`` are one Radau IIA step of the model
+over ``dt_grid[k]``.  ``transcribe`` turns it into an :class:`OcpNlp`:
 
     min_w  f(w)   s.t.  0 = g(w) + M x,   0 <= h(w)
 
@@ -29,7 +30,6 @@ __all__ = [
     "OcpConfigError",
     "QuadraticStageCost",
     "QuadraticTerminalCost",
-    "RadauDynamics",
     "LinearStageConstraint",
     "LinearTerminalConstraint",
     "control_bounds",
@@ -69,20 +69,6 @@ class QuadraticTerminalCost:
         self.P = np.asarray(P, dtype=float)
 
 
-class RadauDynamics:
-    """Discrete dynamics: one Radau IIA step of the model over ``dt``."""
-
-    def __init__(self, model: OdeModel, dt: float):
-        if dt <= 0.0:
-            raise OcpConfigError(f"interval length must be positive, got {dt}")
-        self.model = model
-        self.dt = float(dt)
-
-    def propagate(self, s, u, sensitivities=True):
-        res = radau3_step(self.model, s, u, self.dt, sensitivities=sensitivities)
-        return res.x_next, res.S_x, res.S_u
-
-
 class LinearStageConstraint:
     """Affine stage constraint ``C_s s + C_u u + offset >= 0``."""
 
@@ -92,12 +78,6 @@ class LinearStageConstraint:
         self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
         self.m = self.offset.shape[0]
 
-    def value(self, s, u):
-        return self.C_s @ s + self.C_u @ u + self.offset
-
-    def jacobians(self, s, u):
-        return self.C_s, self.C_u
-
 
 class LinearTerminalConstraint:
     """Affine terminal constraint ``C_s s + offset >= 0``."""
@@ -106,12 +86,6 @@ class LinearTerminalConstraint:
         self.C_s = np.atleast_2d(np.asarray(C_s, dtype=float))
         self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
         self.m = self.offset.shape[0]
-
-    def value(self, s):
-        return self.C_s @ s + self.offset
-
-    def jacobians(self, s):
-        return self.C_s
 
 
 def control_bounds(n_x, lower, upper):
@@ -136,16 +110,19 @@ def control_bounds(n_x, lower, upper):
 
 @dataclass
 class OcpSpec:
-    """Multi-stage OCP: costs, dynamics and constraints over a time grid.
+    """Multi-stage OCP: costs, one model and constraints over a time grid.
 
-    ``stage_costs`` and ``dynamics`` have one entry per interval.  The
-    stage costs are :class:`QuadraticStageCost` objects sharing one
-    ``(Q, R)`` pair (only ``scale`` may vary per stage) and the terminal
-    cost is a :class:`QuadraticTerminalCost`.  ``stage_constraints`` is
+    Interval ``k`` integrates ``model`` by one Radau IIA step over
+    ``dt_grid[k]``; the interval lengths need not be uniform, and the
+    model's callbacks must broadcast over a leading batch axis (see
+    :class:`~asrti.integrators.OdeModel`).  ``stage_costs`` has one
+    :class:`QuadraticStageCost` per interval, all sharing one ``(Q, R)``
+    pair (only ``scale`` may vary per stage), and the terminal cost is a
+    :class:`QuadraticTerminalCost`.  ``stage_constraints`` is
     None or a :class:`LinearStageConstraint` on every interval, all with
     the same row count; ``terminal_constraint`` is None or a
     :class:`LinearTerminalConstraint`.  ``validate`` rejects anything
-    else.  The interval lengths in ``dt_grid`` need not be uniform.
+    else.
     """
 
     n_x: int
@@ -153,7 +130,7 @@ class OcpSpec:
     dt_grid: np.ndarray
     stage_costs: Sequence
     terminal_cost: object
-    dynamics: Sequence
+    model: OdeModel
     stage_constraints: Sequence = None
     terminal_constraint: object = None
 
@@ -168,8 +145,8 @@ class OcpSpec:
         dt = np.asarray(self.dt_grid, dtype=float)
         if np.any(dt <= 0.0):
             raise OcpConfigError("all interval lengths must be positive")
-        if len(self.stage_costs) != N or len(self.dynamics) != N:
-            raise OcpConfigError("stage_costs and dynamics must have one entry per interval")
+        if len(self.stage_costs) != N:
+            raise OcpConfigError("stage_costs must have one entry per interval")
         costs = self.stage_costs
         if not all(isinstance(c, QuadraticStageCost) for c in costs):
             raise OcpConfigError("stage costs must be QuadraticStageCost objects")
@@ -203,17 +180,15 @@ class OcpSpec:
                 )
             if term.C_s.shape != (term.m, n_x):
                 raise OcpConfigError("terminal constraint shape inconsistent")
-        s0 = np.zeros(n_x)
-        u0 = np.zeros(n_u)
-        for k in range(N):
-            try:
-                nxt, Sx, Su = self.dynamics[k].propagate(s0, u0, sensitivities=True)
-            except (ValueError, IndexError) as exc:
-                raise OcpConfigError(f"dynamics {k} rejected probe inputs: {exc}") from exc
-            if np.asarray(nxt).shape != (n_x,):
-                raise OcpConfigError(f"dynamics {k}: state shape {np.asarray(nxt).shape}")
-            if np.asarray(Sx).shape != (n_x, n_x) or np.asarray(Su).shape != (n_x, n_u):
-                raise OcpConfigError(f"dynamics {k}: Jacobian shapes inconsistent")
+        try:
+            nxt, Sx, Su, _ = radau3_step_batch(
+                self.model, np.zeros((N, n_x)), np.zeros((N, n_u)), dt
+            )
+        except (ValueError, IndexError) as exc:
+            raise OcpConfigError(f"model rejected a batched probe step: {exc}") from exc
+        shapes = (np.shape(nxt), np.shape(Sx), np.shape(Su))
+        if shapes != ((N, n_x), (N, n_x, n_x), (N, n_x, n_u)):
+            raise OcpConfigError(f"model step shapes {shapes} inconsistent with n_x, n_u")
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +247,11 @@ class OcpNlp:
     The spec's constant stage data is built once: the weight pair
     ``(Q, R)`` with per-stage scales, the N+1 Hessian blocks, the stage
     inequality rows ``(N, m, n_x+n_u)`` with offsets ``(N, m)`` and the
-    terminal rows ``(m_T, n_x)`` with their offset.  The condensing layer
-    reads this stage structure together with the per-interval dynamics
-    Jacobians.  Pack/unpack helpers and evaluation counters, which audit
-    which phases touch model callbacks, complete the interface.
+    terminal rows ``(m_T, n_x)`` with their offset.  All N intervals are
+    integrated in one batched Radau step.  The condensing layer reads the
+    stage structure together with the per-interval dynamics Jacobians.
+    Pack/unpack helpers and evaluation counters, which audit which phases
+    touch model callbacks, complete the interface.
     """
 
     def __init__(self, spec: OcpSpec):
@@ -290,16 +266,7 @@ class OcpNlp:
         self.M = np.zeros((self.n_g, n_x))
         self.M[:n_x, :n_x] = -np.eye(n_x)
         self.counters = {"dynamics": 0, "dynamics_sens": 0, "cost": 0, "constraint": 0}
-        # batched dynamics fast path: every interval one Radau step of a
-        # shared vectorized model
-        self._batched = (
-            all(isinstance(d, RadauDynamics) for d in spec.dynamics)
-            and len({id(d.model) for d in spec.dynamics}) == 1
-            and spec.dynamics[0].model.vectorized
-        )
-        if self._batched:
-            self._batch_model = spec.dynamics[0].model
-            self._batch_dts = np.array([d.dt for d in spec.dynamics], dtype=float)
+        self._dt = np.asarray(spec.dt_grid, dtype=float)
         self._cost_Q = spec.stage_costs[0].Q
         self._cost_R = spec.stage_costs[0].R
         self._cost_scales = np.array([c.scale for c in spec.stage_costs])
@@ -384,24 +351,18 @@ class OcpNlp:
 
     # -- constraints ------------------------------------------------------
 
-    def _propagate_all(self, states, controls, sensitivities):
+    def _step_all(self, states, controls, sensitivities):
         key = "dynamics_sens" if sensitivities else "dynamics"
         self.counters[key] += self.N
-        if self._batched:
-            nxt, Sx, Su, _ = radau3_step_batch(
-                self._batch_model, states[: self.N], controls, self._batch_dts, sensitivities
-            )
-            return nxt, Sx, Su
-        nxt = np.empty((self.N, self.n_x))
-        Sx = np.empty((self.N, self.n_x, self.n_x)) if sensitivities else None
-        Su = np.empty((self.N, self.n_x, self.n_u)) if sensitivities else None
-        for k in range(self.N):
-            xk, sx, su = self.spec.dynamics[k].propagate(states[k], controls[k], sensitivities)
-            nxt[k] = xk
-            if sensitivities:
-                Sx[k] = sx
-                Su[k] = su
+        nxt, Sx, Su, _ = radau3_step_batch(
+            self.spec.model, states[: self.N], controls, self._dt, sensitivities
+        )
         return nxt, Sx, Su
+
+    def simulate_first_interval(self, x, u):
+        """State at the end of the first interval from ``x`` under control ``u``."""
+        self.counters["dynamics"] += 1
+        return radau3_step(self.spec.model, x, u, self._dt[0], sensitivities=False).x_next
 
     def _eq_residual(self, states, nxt):
         g = np.empty(self.n_g)
@@ -422,7 +383,7 @@ class OcpNlp:
     def constraint_values(self, w):
         """Equality and inequality residual vectors (no derivatives)."""
         states, controls = self.unpack(w)
-        nxt, _, _ = self._propagate_all(states, controls, sensitivities=False)
+        nxt, _, _ = self._step_all(states, controls, sensitivities=False)
         return self._eq_residual(states, nxt), self._ineq_values(w)
 
     def constraint_blocks(self, w):
@@ -434,7 +395,7 @@ class OcpNlp:
         rows and ``ht_block`` the ``(m_T, n_x)`` terminal rows.
         """
         states, controls = self.unpack(w)
-        nxt, Sx, Su = self._propagate_all(states, controls, sensitivities=True)
+        nxt, Sx, Su = self._step_all(states, controls, sensitivities=True)
         g = self._eq_residual(states, nxt)
         return g, self._ineq_values(w), Sx, Su, self._ineq_C, self._ineq_C_T
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, null_space
@@ -93,7 +92,6 @@ class OcpQpData:
     grad: np.ndarray
     eq_res: np.ndarray
     ineq_res: np.ndarray
-    param: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.ineq_stage_blocks = np.asarray(self.ineq_stage_blocks, dtype=float)
@@ -111,7 +109,7 @@ class OcpQpData:
         return int(self.ineq_res.shape[0])
 
 
-def build_qp_data(nlp, w, grad=None, param=None) -> OcpQpData:
+def build_qp_data(nlp, w, grad=None) -> OcpQpData:
     """Evaluate all QP data of the NLP linearized at ``w``.
 
     ``grad`` overrides the objective gradient (used by the inexact
@@ -132,7 +130,6 @@ def build_qp_data(nlp, w, grad=None, param=None) -> OcpQpData:
         grad=np.asarray(grad, dtype=float),
         eq_res=g,
         ineq_res=h,
-        param=None if param is None else np.asarray(param, dtype=float),
     )
 
 
@@ -431,15 +428,29 @@ def condense_rhs_and_solve(
     to the full primal-dual space.  Equality multipliers are recovered by
     back-substitution through the eliminated stationarity rows; one
     fixed-active-set refinement pass polishes the full-space KKT residual.
+
+    A warm-started dense solve can stop at a feasible but non-optimal
+    active set; the refinement then pins that set and its step can breach
+    the inactive rows.  If the refined step of a warm-started solve
+    breaches any inequality row by more than ``1e-6``, the QP is solved
+    once more from a cold start with the same cached factor.
     """
     x = np.asarray(x, dtype=float)
-    dw, lam, dense = _solve_vectors(
-        lhs, data.grad, data.eq_res, data.ineq_res, x, warm_active, max_iter
-    )
-    dw, lam, mu = _refine_fixed_active(
-        lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, dense.mu, dense.active_set
-    )
-    return QpSolution(dw, lam, mu, dense.active_set, dense.iterations)
+
+    def solve(warm):
+        dw, lam, dense = _solve_vectors(
+            lhs, data.grad, data.eq_res, data.ineq_res, x, warm, max_iter
+        )
+        dw, lam, mu = _refine_fixed_active(
+            lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, dense.mu, dense.active_set
+        )
+        return QpSolution(dw, lam, mu, dense.active_set, dense.iterations)
+
+    sol = solve(warm_active)
+    if warm_active is not None and data.n_h:
+        if np.min(data.ineq_res + ineq_jac_product(lhs, sol.dw)) < -1e-6:
+            sol = solve(None)
+    return sol
 
 
 def condense_and_solve(data: OcpQpData, x, warm_active=None, max_iter=DEFAULT_QP_MAX_ITER):

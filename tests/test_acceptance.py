@@ -256,7 +256,7 @@ def advanced_problem():
     z_hat = sqp_solve(nlp, x_hat, nlp.cold_start(x_hat), tol=1e-12, max_iter=50).iterate
     u0 = nlp.first_control(z_hat.w)
     x_pred = radau3_step(pendulum_model(), x_hat, u0, 0.05, sensitivities=False).x_next
-    prep = prepare_linearization(nlp, z_hat, x_hat)
+    prep = prepare_linearization(nlp, z_hat)
     return nlp, z_hat, x_pred, prep
 
 
@@ -383,7 +383,7 @@ def test_criterion_8_predictor_corrector_scaling():
     nlp = transcribe(build_pendulum_ocp())
     x0 = np.zeros(4)
     z0 = Iterate(np.zeros(nlp.n_w), np.zeros(nlp.n_g), np.zeros(nlp.n_h))
-    prep = prepare_linearization(nlp, z0, x0)
+    prep = prepare_linearization(nlp, z0)
     rng = np.random.default_rng(6)
     direction = rng.normal(size=4)
     direction /= np.linalg.norm(direction)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asrti.benchmark import build_pendulum_ocp, pendulum_model
+from asrti.benchmark import (
+    ScenarioConfig,
+    build_pendulum_ocp,
+    draw_scenario,
+    pendulum_model,
+    run_scenario,
+)
 from asrti.controller import AsRtiController, ControllerConfig, predict_state
 from asrti.integrators import IntegrationError, OdeModel, radau3_step, simulate_plant
 from asrti.mli import sqp_solve
@@ -57,10 +63,6 @@ class TestConfigParsing:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             ControllerConfig.from_name("mystery")
-
-    def test_external_prediction_requires_callback(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(name="rti", mode="rti", prediction="external")
 
 
 class TestStateMachine:
@@ -120,7 +122,7 @@ class TestDeterminism:
 
 class TestPrediction:
     def test_zero_dynamics_predicts_current_state(self):
-        from asrti.nlp import OcpSpec, QuadraticStageCost, QuadraticTerminalCost, RadauDynamics
+        from asrti.nlp import OcpSpec, QuadraticStageCost, QuadraticTerminalCost
 
         model = OdeModel(
             n_x=2,
@@ -128,7 +130,6 @@ class TestPrediction:
             rhs=lambda x, u: np.zeros_like(x),
             jac_x=lambda x, u: np.zeros(x.shape[:-1] + (2, 2)),
             jac_u=lambda x, u: np.zeros(x.shape[:-1] + (2, 1)),
-            vectorized=True,
         )
         spec = OcpSpec(
             n_x=2,
@@ -136,15 +137,15 @@ class TestPrediction:
             dt_grid=np.full(3, 0.1),
             stage_costs=[QuadraticStageCost(np.eye(2), np.eye(1))] * 3,
             terminal_cost=QuadraticTerminalCost(np.eye(2)),
-            dynamics=[RadauDynamics(model, 0.1)] * 3,
+            model=model,
         )
         nlp = transcribe(spec)
         z = nlp.cold_start(np.array([0.5, -0.2]))
-        x_pred = predict_state(nlp, "internal", np.array([0.5, -0.2]), z)
+        x_pred = predict_state(nlp, np.array([0.5, -0.2]), z)
         assert np.allclose(x_pred, [0.5, -0.2])
 
     def test_linear_dynamics_match_matrix_exponential(self):
-        from asrti.nlp import OcpSpec, QuadraticStageCost, QuadraticTerminalCost, RadauDynamics
+        from asrti.nlp import OcpSpec, QuadraticStageCost, QuadraticTerminalCost
 
         A = np.array([[0.0, 1.0], [-2.0, -0.4]])
         B = np.array([[0.0], [1.0]])
@@ -154,7 +155,6 @@ class TestPrediction:
             rhs=lambda x, u: x @ A.T + u @ B.T,
             jac_x=lambda x, u: np.broadcast_to(A, x.shape[:-1] + (2, 2)).copy(),
             jac_u=lambda x, u: np.broadcast_to(B, x.shape[:-1] + (2, 1)).copy(),
-            vectorized=True,
         )
         dt = 0.05
         spec = OcpSpec(
@@ -163,7 +163,7 @@ class TestPrediction:
             dt_grid=np.full(3, dt),
             stage_costs=[QuadraticStageCost(np.eye(2), np.eye(1))] * 3,
             terminal_cost=QuadraticTerminalCost(np.eye(2)),
-            dynamics=[RadauDynamics(model, dt)] * 3,
+            model=model,
         )
         nlp = transcribe(spec)
         x = np.array([0.3, -0.1])
@@ -171,19 +171,13 @@ class TestPrediction:
         states = np.tile(x, (4, 1))
         controls = np.tile(u0, (3, 1))
         z = Iterate(nlp.pack(states, controls), np.zeros(nlp.n_g), np.zeros(nlp.n_h))
-        x_pred = predict_state(nlp, "internal", x, z)
+        x_pred = predict_state(nlp, x, z)
         # closed form via the augmented matrix exponential
         M = np.zeros((3, 3))
         M[:2, :2] = A
         M[:2, 2:] = B * u0
         x_exact = (expm(M * dt) @ np.array([x[0], x[1], 1.0]))[:2]
         assert np.max(np.abs(x_pred - x_exact)) < 1e-6
-
-    def test_external_callback_is_used(self, pendulum_nlp):
-        z = pendulum_nlp.cold_start(np.zeros(4))
-        target = np.array([1.0, 2.0, 3.0, 4.0])
-        x_pred = predict_state(pendulum_nlp, "external", np.zeros(4), z, predictor=lambda x, z: target)
-        assert np.array_equal(x_pred, target)
 
 
 class TestPerfectPrediction:
@@ -282,6 +276,32 @@ class TestPrepareFailure:
         controller.prepare(x)  # the retry starts from scratch
         u, _ = controller.feedback(x)
         assert np.array_equal(u, u_ref)
+
+
+class TestWarmStartedQp:
+    # Without the cold re-solve in condense_rhs_and_solve, the warm-started
+    # feedback QP of these study scenarios stops at a non-optimal active set
+    # and the refinement pass moves stage controls to 41.2-43.3 N.
+    @pytest.mark.parametrize(
+        "name,index", [("as-rti-a", 5), ("as-rti-b-2", 5), ("as-rti-c-2", 4), ("as-rti-d-2", 4)]
+    )
+    def test_stage_controls_stay_within_bounds(self, monkeypatch, name, index):
+        worst = []
+        feedback = AsRtiController.feedback
+
+        def checked(self, x):
+            out = feedback(self, x)
+            worst.append(np.max(np.abs(self.nlp.unpack(self.iterate.w)[1])))
+            return out
+
+        monkeypatch.setattr(AsRtiController, "feedback", checked)
+        cfg = ScenarioConfig()
+        metrics, _ = run_scenario(
+            build_pendulum_ocp(), pendulum_model(), ControllerConfig.from_name(name),
+            draw_scenario(cfg, index), cfg, collect_kkt_metrics=False,
+        )
+        assert not metrics.failed and len(worst) == cfg.n_cycles
+        assert max(worst) <= 40.0 + 1e-6
 
 
 class TestTimings:

@@ -20,7 +20,6 @@ def constant_zero_model():
         rhs=lambda x, u: np.zeros_like(x),
         jac_x=lambda x, u: np.zeros(x.shape[:-1] + (2, 2)),
         jac_u=lambda x, u: np.zeros(x.shape[:-1] + (2, 1)),
-        vectorized=True,
     )
 
 
@@ -31,7 +30,6 @@ def linear_model(lam):
         rhs=lambda x, u: lam * x,
         jac_x=lambda x, u: np.full(x.shape[:-1] + (1, 1), lam),
         jac_u=lambda x, u: np.zeros(x.shape[:-1] + (1, 1)),
-        vectorized=True,
     )
 
 
@@ -190,10 +188,6 @@ class TestBatchedStep:
             assert np.allclose(xn[i], ref.x_next, rtol=1e-12, atol=1e-12)
             assert np.allclose(Sx[i], ref.S_x, rtol=1e-9, atol=1e-11)
             assert np.allclose(Su[i], ref.S_u, rtol=1e-9, atol=1e-11)
-
-    def test_requires_vectorized_model(self):
-        with pytest.raises(ValueError):
-            radau3_step_batch(cubic_decay_model(), np.ones((2, 1)), np.zeros((2, 1)), np.full(2, 0.1))
 
 
 class TestSimulatePlant:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asrti.benchmark import build_pendulum_ocp, pendulum_model
-from asrti.integrators import radau3_step
+from asrti.integrators import OdeModel, radau3_step
 from asrti.mli import (
     MliConfig,
     beta_vector,
@@ -23,6 +23,7 @@ from asrti.nlp import (
     eval_kkt,
     transcribe,
 )
+from asrti.qp import build_qp_data
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +44,26 @@ def advanced_problem(pendulum_nlp):
     z_hat = sqp_solve(nlp, x_hat, nlp.cold_start(x_hat), tol=1e-12, max_iter=50).iterate
     u0 = nlp.first_control(z_hat.w)
     x_pred = radau3_step(pendulum_model(), x_hat, u0, 0.05, sensitivities=False).x_next
-    prep = prepare_linearization(nlp, z_hat, x_hat)
+    prep = prepare_linearization(nlp, z_hat)
     return nlp, x_hat, z_hat, x_pred, prep
 
 
-class LinearDynamics:
-    def __init__(self, A, B):
-        self.A, self.B = A, B
-
-    def propagate(self, s, u, sensitivities=True):
-        return self.A @ s + self.B @ u, self.A.copy(), self.B.copy()
+def double_integrator():
+    """``xdot = (v, u)``: over 0.1 s Radau IIA gives ``A = [[1, .1], [0, 1]]``,
+    ``B = [[.005], [.1]]`` exactly."""
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    B = np.array([[0.0], [1.0]])
+    return OdeModel(
+        n_x=2,
+        n_u=1,
+        rhs=lambda x, u: x @ A.T + u @ B.T,
+        jac_x=lambda x, u: np.broadcast_to(A, x.shape[:-1] + (2, 2)).copy(),
+        jac_u=lambda x, u: np.broadcast_to(B, x.shape[:-1] + (2, 1)).copy(),
+    )
 
 
 def lq_problem(with_bounds=False):
     """A strictly convex linear-quadratic OCP: SQP is exact on it."""
-    rng = np.random.default_rng(0)
-    A = np.array([[1.0, 0.1], [0.0, 1.0]])
-    B = np.array([[0.005], [0.1]])
     N = 5
     bounds = [control_bounds(2, -1.0, 1.0)] * N if with_bounds else None
     spec = OcpSpec(
@@ -68,7 +72,7 @@ def lq_problem(with_bounds=False):
         dt_grid=np.full(N, 0.1),
         stage_costs=[QuadraticStageCost(np.eye(2), np.eye(1))] * N,
         terminal_cost=QuadraticTerminalCost(2 * np.eye(2)),
-        dynamics=[LinearDynamics(A, B)] * N,
+        model=double_integrator(),
         stage_constraints=bounds,
     )
     return transcribe(spec)
@@ -79,6 +83,12 @@ def stacked_error(z, z_ref):
 
 
 class TestSqpSolve:
+    def test_double_integrator_step_is_exact(self):
+        nlp = lq_problem()
+        data = build_qp_data(nlp, np.zeros(nlp.n_w))
+        assert np.allclose(data.phi_x, [[1.0, 0.1], [0.0, 1.0]], rtol=0.0, atol=1e-15)
+        assert np.allclose(data.phi_u, [[0.005], [0.1]], rtol=0.0, atol=1e-15)
+
     def test_one_iteration_on_a_qp(self):
         nlp = lq_problem()
         rng = np.random.default_rng(1)
@@ -142,7 +152,7 @@ class TestLevelC:
         x = rng.normal(size=2)
         x_pred = x + 0.05 * rng.normal(size=2)
         z0 = Iterate(0.1 * rng.normal(size=nlp.n_w), np.zeros(nlp.n_g), np.zeros(nlp.n_h))
-        prep = prepare_linearization(nlp, z0, x)
+        prep = prepare_linearization(nlp, z0)
         zc = level_c(prep, nlp, x_pred, z0, 3)
         zd = level_d(nlp, x_pred, z0, 3)
         assert np.allclose(zc.w, zd.w, atol=1e-9)
@@ -173,7 +183,7 @@ class TestLevelB:
         rng = np.random.default_rng(4)
         x = rng.normal(size=2) * 0.3
         z0 = Iterate(np.zeros(nlp.n_w), np.zeros(nlp.n_g), np.zeros(nlp.n_h))
-        prep = prepare_linearization(nlp, z0, x)
+        prep = prepare_linearization(nlp, z0)
         z_star = sqp_solve(nlp, x, z0, tol=1e-12).iterate
         zb = level_b(prep, nlp, x, z0, 30)
         assert stacked_error(zb, z_star) < 1e-9
@@ -219,7 +229,7 @@ class TestLevelA:
         rng = np.random.default_rng(5)
         x = rng.normal(size=2) * 0.2
         z_star = sqp_solve(nlp, x, Iterate(np.zeros(nlp.n_w), np.zeros(nlp.n_g), np.zeros(nlp.n_h)), tol=1e-12).iterate
-        prep = prepare_linearization(nlp, z_star, x)
+        prep = prepare_linearization(nlp, z_star)
         for _ in range(5):
             x_new = x + 0.3 * rng.normal(size=2)
             za = level_a(prep, x_new)
@@ -316,7 +326,7 @@ class TestPredictorCorrectorScaling:
         nlp = pendulum_nlp
         x0 = np.zeros(4)
         z0 = Iterate(np.zeros(nlp.n_w), np.zeros(nlp.n_g), np.zeros(nlp.n_h))
-        prep = prepare_linearization(nlp, z0, x0)
+        prep = prepare_linearization(nlp, z0)
         rng = np.random.default_rng(6)
         direction = rng.normal(size=4)
         direction /= np.linalg.norm(direction)

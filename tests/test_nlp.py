@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asrti.benchmark import build_pendulum_ocp
+from asrti.integrators import OdeModel, radau3_step
 from asrti.nlp import (
     Iterate,
     LinearStageConstraint,
@@ -20,23 +21,23 @@ from asrti.nlp import (
 )
 
 
-class LinearDynamics:
-    """Discrete map s' = A s + B u with exact sensitivities."""
-
-    def __init__(self, A, B):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-
-    def propagate(self, s, u, sensitivities=True):
-        nxt = self.A @ s + self.B @ u
-        if not sensitivities:
-            return nxt, None, None
-        return nxt, self.A.copy(), self.B.copy()
+def linear_model(A, B):
+    """``xdot = A x + B u`` with callbacks that broadcast over a batch axis."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n_x, n_u = B.shape
+    return OdeModel(
+        n_x=n_x,
+        n_u=n_u,
+        rhs=lambda x, u: x @ A.T + u @ B.T,
+        jac_x=lambda x, u: np.broadcast_to(A, x.shape[:-1] + A.shape).copy(),
+        jac_u=lambda x, u: np.broadcast_to(B, x.shape[:-1] + B.shape).copy(),
+    )
 
 
 def toy_spec(N=2, n_x=4, n_u=1):
     rng = np.random.default_rng(0)
-    A = np.eye(n_x) + 0.1 * rng.normal(size=(n_x, n_x))
+    A = rng.normal(size=(n_x, n_x))
     B = rng.normal(size=(n_x, n_u))
     Q = np.eye(n_x)
     R = np.eye(n_u)
@@ -46,7 +47,7 @@ def toy_spec(N=2, n_x=4, n_u=1):
         dt_grid=np.full(N, 0.1),
         stage_costs=[QuadraticStageCost(Q, R)] * N,
         terminal_cost=QuadraticTerminalCost(Q),
-        dynamics=[LinearDynamics(A, B)] * N,
+        model=linear_model(A, B),
         stage_constraints=[control_bounds(n_x, -2.0, 2.0)] * N,
     )
 
@@ -158,7 +159,8 @@ class TestTranscription:
         states = [x]
         controls = rng.normal(size=(3, 1))
         for k in range(3):
-            states.append(spec.dynamics[k].propagate(states[k], controls[k], False)[0])
+            step = radau3_step(spec.model, states[k], controls[k], spec.dt_grid[k], False)
+            states.append(step.x_next)
         w = nlp.pack(np.array(states), controls)
         g, _ = nlp.constraint_values(w)
         assert np.max(np.abs(g + nlp.M @ x)) < 1e-12
@@ -173,10 +175,24 @@ class TestTranscription:
 
     def test_dimension_mismatch_raises_config_error(self):
         spec = toy_spec()
-        bad = LinearDynamics(np.eye(3), np.ones((3, 1)))  # wrong state dim
-        spec.dynamics = [bad] * spec.N
+        spec.model = linear_model(np.eye(3), np.ones((3, 1)))  # wrong state dim
         with pytest.raises(OcpConfigError):
             transcribe(spec)
+
+    def test_control_dimension_mismatch_raises_config_error(self):
+        # a two-input model that ignores its input runs on a one-input spec,
+        # but its step returns Su of shape (N, 4, 2)
+        model = replace(linear_model(-np.eye(4), np.zeros((4, 2))), rhs=lambda x, u: -x)
+        with pytest.raises(OcpConfigError, match="shapes"):
+            transcribe(replace(toy_spec(), model=model))
+
+    def test_model_without_batch_axis_rejected(self):
+        # callbacks written for a single state: the batched step fails on them
+        A, B = -np.eye(4), np.ones((4, 1))
+        model = OdeModel(4, 1, lambda x, u: A @ x + B @ u, lambda x, u: A, lambda x, u: B)
+        radau3_step(model, np.ones(4), np.zeros(1), 0.1)  # a single step works
+        with pytest.raises(OcpConfigError, match="batched probe"):
+            transcribe(replace(toy_spec(N=3), dt_grid=np.full(3, 0.1), model=model))
 
     def test_nonpositive_interval_rejected(self):
         spec = toy_spec()
@@ -193,7 +209,8 @@ class TestTranscription:
 
 
 def one_interval_nlp():
-    # min s0^2 + u0^2 + s1^2  s.t.  0 = s0 - x,  0 = s0 + u0 - s1
+    # min s0^2 + u0^2 + s1^2  s.t.  0 = s0 - x,  0 = s0 + u0 - s1: Radau IIA
+    # integrates xdot = u over a unit interval exactly
     return transcribe(
         OcpSpec(
             n_x=1,
@@ -201,7 +218,7 @@ def one_interval_nlp():
             dt_grid=np.ones(1),
             stage_costs=[QuadraticStageCost(np.eye(1), np.eye(1))],
             terminal_cost=QuadraticTerminalCost(np.eye(1)),
-            dynamics=[LinearDynamics(1.0, 1.0)],
+            model=linear_model(0.0, 1.0),
         )
     )
 
@@ -298,13 +315,12 @@ class TestBounds:
     def test_control_bounds_rows(self):
         con = control_bounds(4, -40.0, 40.0)
         assert con.m == 2
-        v = con.value(np.zeros(4), np.array([10.0]))
-        assert np.allclose(v, [50.0, 30.0])  # u - lb, ub - u
-        v = con.value(np.zeros(4), np.array([-40.0]))
-        assert v[0] == 0.0
+        assert np.array_equal(con.C_s, np.zeros((2, 4)))
+        assert np.array_equal(con.C_u, [[1.0], [-1.0]])  # u - lb, ub - u
+        assert np.array_equal(con.offset, [40.0, 40.0])
 
     def test_linear_constraint_shapes(self):
         con = LinearStageConstraint(np.ones((3, 4)), np.ones((3, 1)), np.zeros(3))
         assert con.m == 3
-        Cs, Cu = con.jacobians(np.zeros(4), np.zeros(1))
-        assert Cs.shape == (3, 4) and Cu.shape == (3, 1)
+        assert con.C_s.shape == (3, 4) and con.C_u.shape == (3, 1)
+        assert con.offset.shape == (3,)

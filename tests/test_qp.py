@@ -73,15 +73,6 @@ def random_dense_qp(rng, n, m):
     return H, q, C, d
 
 
-class RandomAffineDynamics:
-    def __init__(self, A, B):
-        self.A, self.B = A, B
-
-    def propagate(self, s, u, sensitivities=True):
-        nxt = self.A @ s + self.B @ u
-        return nxt, (self.A.copy() if sensitivities else None), (self.B.copy() if sensitivities else None)
-
-
 def random_ocp_qp(rng, N, n_x, n_u, n_bounds=True):
     """Random OCP-structured QP data with PD stage Hessians."""
     stride = n_x + n_u
