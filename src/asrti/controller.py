@@ -1,12 +1,15 @@
 """Real-time NMPC controllers: RTI, AS-RTI (levels A-D) and plain SQP.
 
 One controller instance is a strict prepare -> feedback state machine.
-The preparation phase predicts the next state, runs the configured inner
-iterations on the advanced problem, evaluates the QP data at the
-resulting linearization point and caches the condensing matrix phase.
-The feedback phase performs a single vector-phase solve for the measured
-state and touches no model callbacks (audited through the NLP evaluation
-counters).
+For RTI and AS-RTI the preparation phase predicts the next state, runs
+the configured inner iterations on the advanced problem, evaluates the QP
+data at the resulting linearization point and caches the condensing
+matrix phase; the feedback phase performs a single vector-phase solve for
+the measured state and touches no model callbacks (audited through the
+NLP evaluation counters).  In SQP mode the feedback runs the SQP
+iterations from the carried iterate; on a uniform grid, where every
+interval equals the first, the preparation shifts that iterate by one
+interval beforehand.
 """
 
 from __future__ import annotations
@@ -45,8 +48,12 @@ class ControllerConfig:
     """Algorithm selection for one closed-loop controller.
 
     ``mode`` is one of ``"rti"``, ``"as-rti"`` (with an :class:`MliConfig`
-    describing the inner iterations) or ``"sqp"`` (``inner_iterations``
-    SQP steps in the feedback phase, no prepared work).
+    describing the inner iterations) or ``"sqp"`` (up to
+    ``inner_iterations`` SQP steps to ``sqp_tol`` in the feedback phase).
+    The only preparation in ``"sqp"`` mode is a one-interval shift of the
+    carried iterate (:meth:`~asrti.nlp.OcpNlp.shift`), made when every
+    ``dt_grid`` entry equals the first; on any other grid the SQP starts
+    from the previous output unshifted.
     """
 
     name: str
@@ -152,6 +159,8 @@ class AsRtiController:
         if self.config.mode == "sqp":
             if self._z is None:
                 self._z = self.nlp.cold_start(x)
+            elif self.nlp.uniform_grid:
+                self._z = self.nlp.shift(self._z)
             elapsed = time.perf_counter() - t0
         else:
             # the iterate and the prepared linearization are committed
@@ -205,8 +214,9 @@ class AsRtiController:
 
         For RTI/AS-RTI this is a single vector-phase solve of the
         prepared QP; infeasibility is escalated to the caller.  In SQP
-        mode the configured number of full SQP iterations runs here
-        instead and the preparation phase is empty.
+        mode up to the configured number of full SQP iterations run here
+        instead, from the iterate the preparation phase carried (and
+        shifted, on a uniform grid).
         """
         if self._phase != "feedback":
             raise RuntimeError("feedback called without a completed prepare")

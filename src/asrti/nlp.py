@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrators import OdeModel, radau3_step, radau3_step_batch
+from .integrators import IntegrationError, OdeModel, radau3_step, radau3_step_batch
 from .qp import build_qp_data, eq_jac_t_product, ineq_jac_t_product
 
 __all__ = [
@@ -180,15 +180,29 @@ class OcpSpec:
                 )
             if term.C_s.shape != (term.m, n_x):
                 raise OcpConfigError("terminal constraint shape inconsistent")
+        # Distinct probe states and controls: a callback that reads only the
+        # first batch entry passes a probe at identical points.  The last
+        # entry is stepped once more on its own and must agree.
+        frac = np.arange(N) / N
+        xs = 0.1 * frac[:, None] * np.ones(n_x)
+        us = 0.1 * frac[:, None] * np.ones(n_u)
         try:
-            nxt, Sx, Su, _ = radau3_step_batch(
-                self.model, np.zeros((N, n_x)), np.zeros((N, n_u)), dt
-            )
-        except (ValueError, IndexError) as exc:
+            nxt, Sx, Su, _ = radau3_step_batch(self.model, xs, us, dt)
+            single = radau3_step(self.model, xs[-1], us[-1], dt[-1])
+        except (ValueError, IndexError, IntegrationError) as exc:
             raise OcpConfigError(f"model rejected a batched probe step: {exc}") from exc
         shapes = (np.shape(nxt), np.shape(Sx), np.shape(Su))
         if shapes != ((N, n_x), (N, n_x, n_x), (N, n_x, n_u)):
             raise OcpConfigError(f"model step shapes {shapes} inconsistent with n_x, n_u")
+        for name, batched, one in (
+            ("x_next", nxt, single.x_next), ("S_x", Sx, single.S_x), ("S_u", Su, single.S_u)
+        ):
+            if not np.allclose(batched[-1], one, rtol=1e-6, atol=1e-9):
+                gap = float(np.max(np.abs(batched[-1] - one)))
+                raise OcpConfigError(
+                    f"batched {name} of the last interval is {gap:.2e} off a single step; "
+                    "the callbacks must broadcast over the batch axis"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +264,10 @@ class OcpNlp:
     terminal rows ``(m_T, n_x)`` with their offset.  All N intervals are
     integrated in one batched Radau step.  The condensing layer reads the
     stage structure together with the per-interval dynamics Jacobians.
-    Pack/unpack helpers and evaluation counters, which audit which phases
-    touch model callbacks, complete the interface.
+    Pack/unpack helpers, the one-interval ``shift`` of an iterate
+    (``uniform_grid`` tells whether every interval equals the first, the
+    grids on which that shift is time-consistent) and evaluation counters,
+    which audit which phases touch model callbacks, complete the interface.
     """
 
     def __init__(self, spec: OcpSpec):
@@ -267,6 +283,7 @@ class OcpNlp:
         self.M[:n_x, :n_x] = -np.eye(n_x)
         self.counters = {"dynamics": 0, "dynamics_sens": 0, "cost": 0, "constraint": 0}
         self._dt = np.asarray(spec.dt_grid, dtype=float)
+        self.uniform_grid = bool(np.all(self._dt == self._dt[0]))
         self._cost_Q = spec.stage_costs[0].Q
         self._cost_R = spec.stage_costs[0].R
         self._cost_scales = np.array([c.scale for c in spec.stage_costs])
@@ -313,6 +330,26 @@ class OcpNlp:
         states[: self.N] = sm[:, : self.n_x]
         states[self.N] = w[self.N * self._stride :]
         return states, sm[:, self.n_x :].copy()
+
+    def shift(self, z: Iterate) -> Iterate:
+        """Shift ``z`` by one interval: stage k+1 becomes stage k.
+
+        States, controls, shooting-gap multipliers and stage-row
+        multipliers move up one stage and the last stage is repeated; the
+        initial-value multipliers and the terminal-row multipliers are
+        kept.  No model is evaluated.
+        """
+
+        def up(a):
+            return np.concatenate([a[1:], a[-1:]])
+
+        states, controls = self.unpack(z.w)
+        lam = z.lam.copy()
+        lam[self.n_x :] = up(z.lam[self.n_x :].reshape(self.N, self.n_x)).reshape(-1)
+        mu = z.mu.copy()
+        n_stage = self._ineq_offset.size
+        mu[:n_stage] = up(z.mu[:n_stage].reshape(self._ineq_offset.shape)).reshape(-1)
+        return Iterate(self.pack(up(states), up(controls)), lam, mu)
 
     def first_control(self, w):
         return np.array(w[self.u_slice(0)])

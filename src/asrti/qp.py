@@ -167,13 +167,18 @@ class CondensedLhs:
 
 @dataclass
 class QpSolution:
-    """Full-space primal-dual solution of the structured QP."""
+    """Full-space primal-dual solution of the structured QP.
+
+    ``iterations`` sums the dense solver's iterations over every solve the
+    vector phase ran; ``resolves`` counts the breach guard's re-solves.
+    """
 
     dw: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
     active_set: tuple
     iterations: int
+    resolves: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +434,31 @@ def condense_rhs_and_solve(
     back-substitution through the eliminated stationarity rows; one
     fixed-active-set refinement pass polishes the full-space KKT residual.
 
-    A warm-started dense solve can stop at a feasible but non-optimal
-    active set; the refinement then pins that set and its step can breach
-    the inactive rows.  If the refined step of a warm-started solve
-    breaches any inequality row by more than ``1e-6``, the QP is solved
-    once more from a cold start with the same cached factor.
+    The dense solve can stop at a non-optimal active set, warm-started or
+    cold; the refinement then pins that set and its step can breach the
+    inactive rows.  Whenever the refined step breaches rows by more than
+    ``1e-6``, the QP is solved again with the cached factor, warm-started
+    from the dense active set plus the breached rows (the dense solver
+    still drops any pinned row whose multiplier comes out negative).  This
+    repeats while it adds a row to the warm set, at most ``n_h`` times.
     """
     x = np.asarray(x, dtype=float)
-
-    def solve(warm):
+    warm = warm_active
+    iterations = 0
+    for resolves in range(data.n_h + 1):
         dw, lam, dense = _solve_vectors(
             lhs, data.grad, data.eq_res, data.ineq_res, x, warm, max_iter
         )
+        iterations += dense.iterations
         dw, lam, mu = _refine_fixed_active(
             lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, dense.mu, dense.active_set
         )
-        return QpSolution(dw, lam, mu, dense.active_set, dense.iterations)
-
-    sol = solve(warm_active)
-    if warm_active is not None and data.n_h:
-        if np.min(data.ineq_res + ineq_jac_product(lhs, sol.dw)) < -1e-6:
-            sol = solve(None)
-    return sol
+        breached = np.flatnonzero(data.ineq_res + ineq_jac_product(lhs, dw) < -1e-6)
+        added = set(breached.tolist()).difference(dense.active_set)
+        if not added:
+            break
+        warm = tuple(sorted(added.union(dense.active_set)))
+    return QpSolution(dw, lam, mu, dense.active_set, iterations, resolves)
 
 
 def condense_and_solve(data: OcpQpData, x, warm_active=None, max_iter=DEFAULT_QP_MAX_ITER):

@@ -304,6 +304,62 @@ class TestWarmStartedQp:
         assert max(worst) <= 40.0 + 1e-6
 
 
+class TestSqpShift:
+    """``sqp`` mode shifts its carried iterate by one interval on a uniform grid."""
+
+    @staticmethod
+    def closed_loop(nlp, config, monkeypatch, n_cycles=10):
+        import asrti.controller as ctrl_mod
+
+        iterations = []
+
+        def counted(*args, **kwargs):
+            res = sqp_solve(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(ctrl_mod, "sqp_solve", counted)
+        iterates = []
+        feedback = AsRtiController.feedback
+
+        def recorded(self, x):
+            out = feedback(self, x)
+            iterates.append(self.iterate.copy())
+            return out
+
+        monkeypatch.setattr(AsRtiController, "feedback", recorded)
+        xs, _, _ = run_cycles(nlp, config, [0.3, 0.0, 0.0, 0.0], n_cycles)
+        return xs, iterates, sum(iterations)
+
+    @staticmethod
+    def unshifted(nlp, config, xs):
+        """The same cycles, each started from the previous output unshifted."""
+        z = nlp.cold_start(xs[0])
+        iterates, total = [], 0
+        for x in xs[:-1]:
+            res = sqp_solve(nlp, x, z, tol=config.sqp_tol, max_iter=config.inner_iterations)
+            z = res.iterate
+            iterates.append(z)
+            total += res.iterations
+        return iterates, total
+
+    def test_uniform_grid_reaches_the_same_iterates_in_no_more_iterations(self, monkeypatch):
+        nlp = transcribe(build_pendulum_ocp(n_intervals=20, horizon=1.0, uniform_grid=True))
+        config = ControllerConfig(name="converged", mode="sqp", inner_iterations=100)
+        xs, shifted, n_shifted = self.closed_loop(nlp, config, monkeypatch)
+        plain, n_plain = self.unshifted(nlp, config, xs)
+        for a, b in zip(shifted, plain):
+            assert np.max(np.abs(a.w - b.w)) <= config.sqp_tol
+        assert n_shifted < n_plain  # 24 against 46 when written
+
+    def test_non_uniform_grid_iterates_are_unchanged(self, pendulum_nlp, monkeypatch):
+        config = ControllerConfig.from_name("sqp-2")
+        xs, shifted, _ = self.closed_loop(pendulum_nlp, config, monkeypatch)
+        plain, _ = self.unshifted(pendulum_nlp, config, xs)
+        for a, b in zip(shifted, plain):
+            assert np.array_equal(a.stacked(), b.stacked())
+
+
 class TestTimings:
     def test_feedback_cheaper_than_preparation(self, pendulum_nlp):
         _, _, controller = run_cycles(

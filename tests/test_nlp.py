@@ -165,6 +165,37 @@ class TestTranscription:
         g, _ = nlp.constraint_values(w)
         assert np.max(np.abs(g + nlp.M @ x)) < 1e-12
 
+    def test_shift_moves_every_stage_block_up_and_repeats_the_last(self):
+        nlp = transcribe(build_pendulum_ocp(n_intervals=20, horizon=1.0, uniform_grid=True))
+        assert nlp.uniform_grid
+        N, n_x, m = nlp.N, nlp.n_x, 2
+        rng = np.random.default_rng(4)
+        z = Iterate(rng.normal(size=nlp.n_w), rng.normal(size=nlp.n_g), rng.normal(size=nlp.n_h))
+        counters = dict(nlp.counters)
+        shifted = nlp.shift(z)
+        assert nlp.counters == counters  # no model evaluations
+        states, controls = nlp.unpack(z.w)
+        s_new, u_new = nlp.unpack(shifted.w)
+        assert np.array_equal(s_new, np.vstack([states[1:], states[-1:]]))
+        assert np.array_equal(u_new, np.vstack([controls[1:], controls[-1:]]))
+        gaps = z.lam[n_x:].reshape(N, n_x)
+        assert np.array_equal(shifted.lam[:n_x], z.lam[:n_x])
+        assert np.array_equal(shifted.lam[n_x:].reshape(N, n_x), np.vstack([gaps[1:], gaps[-1:]]))
+        rows = z.mu.reshape(N, m)  # the pendulum has no terminal rows
+        assert np.array_equal(shifted.mu.reshape(N, m), np.vstack([rows[1:], rows[-1:]]))
+        assert not transcribe(build_pendulum_ocp()).uniform_grid
+
+    def test_shift_keeps_terminal_row_multipliers(self):
+        spec = replace(
+            toy_spec(N=3),
+            stage_constraints=[control_bounds(4, [-1.0], [1.0])] * 3,
+            terminal_constraint=LinearTerminalConstraint(np.eye(4), np.ones(4)),
+        )
+        nlp = transcribe(spec)
+        mu = np.arange(nlp.n_h, dtype=float)
+        shifted = nlp.shift(Iterate(np.zeros(nlp.n_w), np.zeros(nlp.n_g), mu))
+        assert np.array_equal(shifted.mu, [2, 3, 4, 5, 4, 5, 6, 7, 8, 9])
+
     def test_variable_order_is_stage_interleaved(self):
         nlp = transcribe(toy_spec(N=2))
         w = np.arange(nlp.n_w, dtype=float)
@@ -193,6 +224,29 @@ class TestTranscription:
         radau3_step(model, np.ones(4), np.zeros(1), 0.1)  # a single step works
         with pytest.raises(OcpConfigError, match="batched probe"):
             transcribe(replace(toy_spec(N=3), dt_grid=np.full(3, 0.1), model=model))
+
+    def test_model_reading_only_first_batch_entry_rejected(self):
+        # the Jacobian reads the first batch entry's state for every entry;
+        # a probe at identical states cannot tell
+        model = OdeModel(
+            n_x=1,
+            n_u=1,
+            rhs=lambda x, u: -x**3 + u,
+            jac_x=lambda x, u: np.array([[-3.0 * x[0] ** 2]]),
+            jac_u=lambda x, u: np.ones(x.shape + (1,)),
+        )
+        spec = OcpSpec(
+            n_x=1,
+            n_u=1,
+            dt_grid=np.full(20, 0.05),
+            stage_costs=[QuadraticStageCost(np.eye(1), np.eye(1))] * 20,
+            terminal_cost=QuadraticTerminalCost(np.eye(1)),
+            model=model,
+        )
+        with pytest.raises(OcpConfigError, match="single step"):
+            transcribe(spec)
+        fixed = replace(model, jac_x=lambda x, u: (-3.0 * x**2)[..., None])
+        transcribe(replace(spec, model=fixed))
 
     def test_nonpositive_interval_rejected(self):
         spec = toy_spec()

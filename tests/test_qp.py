@@ -379,6 +379,37 @@ class TestCondensing:
             assert abs(hval[i]) < 1e-8
             assert abs(sol.mu[i] * hval[i]) < 1e-10
 
+    def test_breached_cold_solve_is_resolved_with_breached_rows_pinned(self, monkeypatch):
+        import asrti.qp as qp_mod
+
+        nlp = transcribe(build_pendulum_ocp())
+        x = np.array([0.0, 0.3, 4.0, -3.0])  # excited enough to saturate u
+        data = build_qp_data(nlp, nlp.cold_start(x).w)
+        lhs = condense_lhs(data)
+        real = qp_mod.solve_dense_qp
+        calls = []
+
+        def stops_early_once(H, q, C, d, warm_active=None, **kwargs):
+            # the first solve returns the unconstrained minimizer, as a
+            # dense solve that stopped at an empty active set would
+            calls.append(warm_active)
+            if len(calls) == 1:
+                x_free = -np.linalg.solve(H, q)
+                return DenseQpResult(x_free, np.zeros(C.shape[0]), (), 3, 0)
+            return real(H, q, C, d, warm_active=warm_active, **kwargs)
+
+        monkeypatch.setattr(qp_mod, "solve_dense_qp", stops_early_once)
+        sol = condense_rhs_and_solve(lhs, data, x, warm_active=None)
+        assert calls[0] is None and len(calls) == 2
+        assert len(calls[1]) > 0  # the breached rows seed the re-solve
+        assert sol.resolves == 1
+        assert np.min(data.ineq_res + ineq_jac_product(data, sol.dw)) >= -1e-6
+        assert sol.iterations > 3  # summed over both dense solves
+        monkeypatch.setattr(qp_mod, "solve_dense_qp", real)
+        clean = condense_rhs_and_solve(lhs, data, x, warm_active=None)
+        assert clean.resolves == 0
+        assert np.max(np.abs(sol.dw - clean.dw)) < 1e-6
+
     def test_structured_products_match_dense(self):
         rng = np.random.default_rng(13)
         data = random_ocp_qp(rng, 4, 3, 2)
