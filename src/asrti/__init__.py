@@ -7,7 +7,7 @@ four inexactness levels (A-D) and a closed-loop controller plus benchmark
 harness around an inverted pendulum.
 """
 
-from .controller import AsRtiController, ControllerConfig, CycleLog, PhaseTimings, predict_state
+from .controller import AsRtiController, ControllerConfig, CycleLog, predict_state
 from .integrators import (
     IntegrationError,
     IntegrationResult,

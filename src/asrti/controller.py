@@ -3,13 +3,15 @@
 One controller instance is a strict prepare -> feedback state machine.
 For RTI and AS-RTI the preparation phase predicts the next state, runs
 the configured inner iterations on the advanced problem, evaluates the QP
-data at the resulting linearization point and caches the condensing
-matrix phase; the feedback phase performs a single vector-phase solve for
-the measured state and touches no model callbacks (audited through the
-NLP evaluation counters).  In SQP mode the feedback runs the SQP
-iterations from the carried iterate; on a uniform grid, where every
-interval equals the first, the preparation shifts that iterate by one
-interval beforehand.
+data at the resulting linearization point, caches the condensing matrix
+phase and maps the QP's solution affinely in the state around the
+predicted one (:func:`~asrti.qp.prepare_feedback_map`); the feedback phase
+is one vector-phase call for the measured state, which evaluates that map
+while its active set stays optimal, and touches no model callbacks
+(audited through the NLP evaluation counters).  In SQP mode the feedback
+runs the SQP iterations from the carried iterate; on a uniform grid,
+where every interval equals the first, the preparation shifts that
+iterate by one interval beforehand.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .mli import (
     sqp_solve,
 )
 from .nlp import Iterate, OcpNlp, eval_kkt
-from .qp import QpInfeasibleError, QpSolverError, condense_rhs_and_solve
+from .qp import QpInfeasibleError, QpSolverError, condense_rhs_and_solve, prepare_feedback_map
 
 __all__ = [
     "ControllerConfig",
-    "PhaseTimings",
     "CycleLog",
     "AsRtiController",
     "predict_state",
@@ -89,14 +90,6 @@ class ControllerConfig:
 
 
 @dataclass
-class PhaseTimings:
-    """Wall-clock seconds spent in each phase of one cycle."""
-
-    preparation_s: float
-    feedback_s: float
-
-
-@dataclass
 class CycleLog:
     """Plain per-cycle record for the benchmark harness."""
 
@@ -107,6 +100,9 @@ class CycleLog:
     feedback_evals: int
     inner_trace: Optional[list] = None
     feedback_residuals: Optional[tuple] = None
+    # the feedback QpSolution's counts (0 iterations: the map served it); None in sqp mode
+    qp_iterations: Optional[int] = None
+    qp_resolves: Optional[int] = None
 
 
 def predict_state(nlp: OcpNlp, x, z: Iterate):
@@ -199,8 +195,9 @@ class AsRtiController:
             except (QpInfeasibleError, QpSolverError, IntegrationError):
                 z_lin = z
                 fallback = True
-            self._prep = prepare_linearization(self.nlp, z_lin)
-            self._z = z
+            prep = prepare_linearization(self.nlp, z_lin)
+            prepare_feedback_map(prep.lhs, prep.data, x_pred, warm_active=self._warm)
+            self._prep, self._z = prep, z
             self.fallbacks += int(fallback)
             elapsed = time.perf_counter() - t0
         self._phase = "feedback"
@@ -209,20 +206,23 @@ class AsRtiController:
         self._pending_fallback = fallback
         return elapsed
 
-    def feedback(self, x_next) -> Tuple[np.ndarray, PhaseTimings]:
+    def feedback(self, x_next) -> Tuple[np.ndarray, CycleLog]:
         """Compute the control for the newly measured state.
 
-        For RTI/AS-RTI this is a single vector-phase solve of the
-        prepared QP; infeasibility is escalated to the caller.  In SQP
-        mode up to the configured number of full SQP iterations run here
-        instead, from the iterate the preparation phase carried (and
-        shifted, on a uniform grid).
+        For RTI/AS-RTI this is one vector-phase call on the prepared QP,
+        served by its map while the active set holds; infeasibility is
+        escalated to the caller.  In SQP mode up to the configured number
+        of full SQP iterations run here instead, from the iterate the
+        preparation phase carried (and shifted, on a uniform grid).
+        Returns the control and the :class:`CycleLog` appended to
+        ``cycle_logs``.
         """
         if self._phase != "feedback":
             raise RuntimeError("feedback called without a completed prepare")
         x_next = np.asarray(x_next, dtype=float)
         counters0 = sum(self.nlp.counters.values())
         t0 = time.perf_counter()
+        sol = None
         if self.config.mode == "sqp":
             res = sqp_solve(
                 self.nlp, x_next, self._z,
@@ -244,16 +244,17 @@ class AsRtiController:
             fb_res = (max(kkt.eq, kkt.ineq), kkt.stat)
         self._z = z_new
         self._phase = "prepare"
-        self.cycle_logs.append(
-            CycleLog(
-                cycle=self._cycle,
-                preparation_s=self._pending_prep_s,
-                feedback_s=elapsed,
-                fallback=self._pending_fallback,
-                feedback_evals=evals,
-                inner_trace=self._pending_trace,
-                feedback_residuals=fb_res,
-            )
+        log = CycleLog(
+            cycle=self._cycle,
+            preparation_s=self._pending_prep_s,
+            feedback_s=elapsed,
+            fallback=self._pending_fallback,
+            feedback_evals=evals,
+            inner_trace=self._pending_trace,
+            feedback_residuals=fb_res,
+            qp_iterations=getattr(sol, "iterations", None),
+            qp_resolves=getattr(sol, "resolves", None),
         )
+        self.cycle_logs.append(log)
         self._cycle += 1
-        return self.nlp.first_control(z_new.w), PhaseTimings(self._pending_prep_s, elapsed)
+        return self.nlp.first_control(z_new.w), log

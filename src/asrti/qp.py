@@ -12,6 +12,10 @@ constraint.  The reduction is split into a matrix phase
 vectors or the parameter) and a vector phase
 (:func:`condense_rhs_and_solve`) so that a prepared left-hand side can be
 re-solved cheaply for new right-hand sides.
+
+For a fixed active set the solution is affine in ``x``;
+:func:`prepare_feedback_map` caches that map on the matrix phase, and the
+vector phase evaluates it while its active set stays optimal.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "condense_lhs",
     "condense_rhs_and_solve",
     "condense_and_solve",
+    "prepare_feedback_map",
     "solve_dense_qp",
     "eq_jac_product",
     "eq_jac_t_product",
@@ -159,6 +164,7 @@ class CondensedLhs:
     phi_u: np.ndarray
     chol: tuple = None  # cached Cholesky factor of hess
     regularization: float = 0.0
+    feedback_map: tuple = None  # cached by prepare_feedback_map
 
     @property
     def n_w(self):
@@ -188,18 +194,22 @@ class QpSolution:
 
 def hess_product(lhs: CondensedLhs, v):
     """``A v`` for the block-diagonal stacked Hessian."""
-    split = lhs.N * (lhs.n_x + lhs.n_u)
+    stride = lhs.n_x + lhs.n_u
+    split = lhs.N * stride
     out = np.empty_like(v)
-    out[:split] = np.matmul(lhs.hess_stage, v[:split].reshape(lhs.N, -1, 1)).reshape(split)
+    stage = np.matmul(lhs.hess_stage, v[:split].reshape(lhs.N, stride, -1))
+    out[:split] = stage.reshape(out[:split].shape)
     out[split:] = lhs.hess_term @ v[split:]
     return out
 
 
 def ineq_jac_product(data_like, dw):
     """``H dw`` from the stage and terminal inequality rows (QP data or lhs)."""
-    split = data_like.N * (data_like.n_x + data_like.n_u)
-    stage = np.matmul(data_like.ineq_stage_blocks, dw[:split].reshape(data_like.N, -1, 1))
-    return np.concatenate([stage.reshape(-1), data_like.ineq_term_block @ dw[split:]])
+    stride = data_like.n_x + data_like.n_u
+    split = data_like.N * stride
+    stage = np.matmul(data_like.ineq_stage_blocks, dw[:split].reshape(data_like.N, stride, -1))
+    term = data_like.ineq_term_block @ dw[split:]
+    return np.concatenate([stage.reshape((-1,) + dw.shape[1:]), term])
 
 
 def condense_lhs(data: OcpQpData) -> CondensedLhs:
@@ -288,15 +298,15 @@ def _particular_step(lhs: CondensedLhs, eq_res, x):
     ``ds_0 = x - s0_value``; the remaining states follow the inhomogeneous
     dynamics recursion driven by the shooting-gap residuals.
     """
-    n_x = lhs.n_x
+    N, n_x, phi_x = lhs.N, lhs.n_x, lhs.phi_x
     stride = n_x + lhs.n_u
-    t = np.zeros(lhs.n_w)
-    ds = x - eq_res[:n_x]
-    t[:n_x] = ds
-    for k in range(lhs.N):
-        ds = lhs.phi_x[k] @ ds + eq_res[(k + 1) * n_x : (k + 2) * n_x]
-        t[(k + 1) * stride : (k + 1) * stride + n_x] = ds
-    return t
+    cols = x.shape[1:]
+    gaps = eq_res[n_x:].reshape((N, n_x) + cols)
+    t = np.zeros((N + 1, stride) + cols)
+    ds = t[0, :n_x] = x - eq_res[:n_x]
+    for k in range(N):
+        ds = t[k + 1, :n_x] = np.dot(phi_x[k], ds) + gaps[k]
+    return t.reshape(((N + 1) * stride,) + cols)[: lhs.n_w]
 
 
 def eq_jac_t_product(phi_x, phi_u, lam):
@@ -304,14 +314,16 @@ def eq_jac_t_product(phi_x, phi_u, lam):
     N, n_x = phi_x.shape[0], phi_x.shape[1]
     n_u = phi_u.shape[2]
     stride = n_x + n_u
-    gaps = lam[n_x:].reshape(N, n_x, 1)
-    out = np.zeros((N + 1) * n_x + N * n_u)
-    sm = out[: N * stride].reshape(N, stride)
-    sm[:, :n_x] = np.matmul(phi_x.transpose(0, 2, 1), gaps)[:, :, 0]
-    sm[:, n_x:] = np.matmul(phi_u.transpose(0, 2, 1), gaps)[:, :, 0]
+    cols = lam.shape[1:]
+    gaps = lam[n_x:].reshape((N, n_x) + cols)
+    out = np.zeros(((N + 1) * n_x + N * n_u,) + cols)
+    sm = out[: N * stride].reshape((N, stride) + cols)
+    g3 = gaps.reshape(N, n_x, -1)
+    sm[:, :n_x] = np.matmul(phi_x.transpose(0, 2, 1), g3).reshape(sm[:, :n_x].shape)
+    sm[:, n_x:] = np.matmul(phi_u.transpose(0, 2, 1), g3).reshape(sm[:, n_x:].shape)
     sm[0, :n_x] += lam[:n_x]
-    sm[1:, :n_x] -= gaps[:-1, :, 0]
-    out[N * stride :] = -gaps[-1, :, 0]
+    sm[1:, :n_x] -= gaps[:-1]
+    out[N * stride :] = -gaps[-1]
     return out
 
 
@@ -320,8 +332,9 @@ def ineq_jac_t_product(data, mu):
     C = data.ineq_stage_blocks
     N, m = C.shape[0], C.shape[1]
     split = N * C.shape[2]
-    out = np.empty(data.n_w)
-    out[:split] = np.matmul(C.transpose(0, 2, 1), mu[: N * m].reshape(N, m, 1)).reshape(split)
+    out = np.empty((data.n_w,) + mu.shape[1:])
+    mu3 = mu[: N * m].reshape(N, m, mu.shape[1] if mu.ndim > 1 else 1)
+    out[:split] = np.matmul(C.transpose(0, 2, 1), mu3).reshape(out[:split].shape)
     out[split:] = data.ineq_term_block.T @ mu[N * m :]
     return out
 
@@ -331,15 +344,17 @@ def eq_jac_product(phi_x, phi_u, dw):
     N, n_x = phi_x.shape[0], phi_x.shape[1]
     n_u = phi_u.shape[2]
     stride = n_x + n_u
-    sm = dw[: N * stride].reshape(N, stride)
-    out = np.empty((N + 1) * n_x)
+    cols = dw.shape[1:]
+    sm = dw[: N * stride].reshape((N, stride) + cols)
+    out = np.empty(((N + 1) * n_x,) + cols)
     out[:n_x] = dw[:n_x]
     prop = (
-        np.matmul(phi_x, sm[:, :n_x, None]) + np.matmul(phi_u, sm[:, n_x:, None])
-    )[:, :, 0]
+        np.matmul(phi_x, sm[:, :n_x].reshape(N, n_x, -1))
+        + np.matmul(phi_u, sm[:, n_x:].reshape(N, n_u, -1))
+    ).reshape((N, n_x) + cols)
     prop[:-1] -= sm[1:, :n_x]
     prop[-1] -= dw[N * stride :]
-    out[n_x:] = prop.reshape(N * n_x)
+    out[n_x:] = prop.reshape((N * n_x,) + cols)
     return out
 
 
@@ -349,16 +364,17 @@ def _recover_eq_multipliers(lhs: CondensedLhs, r):
     ``r = a + A dw - H' mu``; the recursion annihilates the state rows of
     the full-space stationarity from the terminal stage backwards.
     """
-    N, n_x, phi_x = lhs.N, lhs.n_x, lhs.phi_x
+    N, n_x = lhs.N, lhs.n_x
     stride = n_x + lhs.n_u
-    lam = np.empty((N + 1) * n_x)
-    lam_next = -r[N * stride : N * stride + n_x]
-    lam[N * n_x :] = lam_next
+    cols = r.shape[1:]
+    phi_t = lhs.phi_x.transpose(0, 2, 1)
+    r_states = r[: N * stride].reshape((N, stride) + cols)[:, :n_x]
+    lam = np.empty((N + 1, n_x) + cols)
+    lam_next = lam[N] = -r[N * stride : N * stride + n_x]
     for k in range(N - 1, 0, -1):
-        lam_next = phi_x[k].T @ lam_next - r[k * stride : k * stride + n_x]
-        lam[k * n_x : (k + 1) * n_x] = lam_next
-    lam[:n_x] = r[:n_x] - phi_x[0].T @ lam_next
-    return lam
+        lam_next = lam[k] = np.dot(phi_t[k], lam_next) - r_states[k]
+    lam[0] = r[:n_x] - np.dot(phi_t[0], lam_next)
+    return lam.reshape(((N + 1) * n_x,) + cols)
 
 
 def _solve_vectors(lhs: CondensedLhs, grad, eq_res, ineq_res, x, warm_active, max_iter):
@@ -384,7 +400,9 @@ def _refine_fixed_active(lhs: CondensedLhs, grad, eq_res, ineq_res, x, dw, lam, 
     Condensing over long unstable horizons loses absolute accuracy by
     cancellation; re-solving the same KKT system for the small full-space
     residuals restores it.  Active inequality rows are corrected as
-    equalities, so the combinatorial solution is untouched.
+    equalities, so the combinatorial solution is untouched.  From zero it is
+    a fixed-active-set solve.  Inputs may carry a trailing column axis, and
+    the multipliers come back unclipped.
     """
     rho_stat = grad + hess_product(lhs, dw) - eq_jac_t_product(lhs.phi_x, lhs.phi_u, lam)
     n_h = ineq_res.shape[0]
@@ -394,7 +412,7 @@ def _refine_fixed_active(lhs: CondensedLhs, grad, eq_res, ineq_res, x, dw, lam, 
     rho_eq[: lhs.n_x] -= x
     rho_eq += eq_jac_product(lhs.phi_x, lhs.phi_u, dw)
 
-    t2 = _particular_step(lhs, rho_eq, np.zeros(lhs.n_x))
+    t2 = _particular_step(lhs, rho_eq, np.zeros_like(x))
     q2 = lhs.TA @ t2 + lhs.T.T @ rho_stat
     act = list(active)
     if act:
@@ -410,12 +428,62 @@ def _refine_fixed_active(lhs: CondensedLhs, grad, eq_res, ineq_res, x, dw, lam, 
     dw2 = lhs.T @ du2 + t2
     mu_new = mu.copy()
     if act:
-        mu_new[act] = np.maximum(mu_new[act] + dmu_act, 0.0)
+        mu_new[act] = mu_new[act] + dmu_act
     r2 = rho_stat + hess_product(lhs, dw2)
     if n_h:
         r2 = r2 - ineq_jac_t_product(lhs, mu_new - mu)
     lam2 = _recover_eq_multipliers(lhs, r2)
     return dw + dw2, lam + lam2, mu_new
+
+
+def _fixed_active_map(lhs: CondensedLhs, data: OcpQpData, x_pred, active):
+    """``(data, x_pred, active, mask, offset, slope)``: the fixed-set solution is
+    ``offset + slope (x - x_pred)``, stacking ``(dw, lam, mu, slack)``.  Column 0
+    solves the QP at ``x_pred``, column ``j`` the response to ``x = e_j``, each
+    by a fixed-active-set solve and one refinement pass."""
+    n_x = lhs.n_x
+    first = np.eye(1, n_x + 1)[0]
+    vectors = [np.outer(v, first) for v in (data.grad, data.eq_res, data.ineq_res)]
+    vectors.append(np.hstack([x_pred[:, None], np.eye(n_x)]))
+    z = [np.zeros((n, n_x + 1)) for n in (lhs.n_w, data.n_g, data.n_h)]
+    for _ in range(2):
+        z = _refine_fixed_active(lhs, *vectors, *z, active)
+    slack = vectors[2] + ineq_jac_product(lhs, z[0])
+    stacked = np.concatenate([*z, slack])
+    mask = np.zeros(data.n_h, dtype=bool)
+    mask[list(active)] = True
+    return data, x_pred, active, mask, stacked[:, 0], stacked[:, 1:]
+
+
+def _evaluate_map(feedback_map, x):
+    """The map's ``(dw, lam, mu)`` at ``x``, or None unless every inactive row's
+    slack and every active multiplier is at least ``-1e-9`` (the dense solver's
+    feasibility and multiplier tolerances)."""
+    data, x_pred, _, mask, offset, slope = feedback_map
+    point = offset + slope @ (x - x_pred)
+    dw, lam, mu, slack = np.split(point, np.cumsum([data.n_w, data.n_g, data.n_h]))
+    if np.all(np.where(mask, mu, slack) >= -1e-9):
+        return dw, lam, np.maximum(mu, 0.0)
+
+
+def prepare_feedback_map(lhs: CondensedLhs, data: OcpQpData, x_pred, warm_active=None):
+    """Cache on ``lhs`` the solution of ``data``'s QP as an affine map of ``x``.
+
+    The map fixes the active set ``warm_active``, or, if that set is not
+    optimal at ``x_pred``, the set one vector phase there ends with.  No
+    map is cached where the QP has no solution at ``x_pred``.
+    """
+    x_pred = np.asarray(x_pred, dtype=float)
+    active = tuple(warm_active or ())
+    lhs.feedback_map = None
+    try:
+        fmap = _fixed_active_map(lhs, data, x_pred, active)
+        if _evaluate_map(fmap, x_pred) is None:
+            active = condense_rhs_and_solve(lhs, data, x_pred, warm_active=active).active_set
+            fmap = _fixed_active_map(lhs, data, x_pred, active)
+    except (QpInfeasibleError, QpSolverError, np.linalg.LinAlgError):
+        return
+    lhs.feedback_map = fmap
 
 
 def condense_rhs_and_solve(
@@ -434,16 +502,26 @@ def condense_rhs_and_solve(
     back-substitution through the eliminated stationarity rows; one
     fixed-active-set refinement pass polishes the full-space KKT residual.
 
+    If ``lhs`` holds a map for this very ``data`` object, it is evaluated
+    first: where its active set stays optimal that point is returned with
+    zero ``iterations``, otherwise the vector phase runs from the map's set.
+
     The dense solve can stop at a non-optimal active set, warm-started or
     cold; the refinement then pins that set and its step can breach the
     inactive rows.  Whenever the refined step breaches rows by more than
     ``1e-6``, the QP is solved again with the cached factor, warm-started
     from the dense active set plus the breached rows (the dense solver
     still drops any pinned row whose multiplier comes out negative).  This
-    repeats while it adds a row to the warm set, at most ``n_h`` times.
+    repeats while it changes the warm set, at most ``n_h`` times.
     """
     x = np.asarray(x, dtype=float)
     warm = warm_active
+    fmap = lhs.feedback_map
+    if fmap is not None and fmap[0] is data:
+        point = _evaluate_map(fmap, x)
+        if point is not None:
+            return QpSolution(*point, fmap[2], 0)
+        warm = fmap[2]
     iterations = 0
     for resolves in range(data.n_h + 1):
         dw, lam, dense = _solve_vectors(
@@ -453,11 +531,12 @@ def condense_rhs_and_solve(
         dw, lam, mu = _refine_fixed_active(
             lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, dense.mu, dense.active_set
         )
+        mu = np.maximum(mu, 0.0)
         breached = np.flatnonzero(data.ineq_res + ineq_jac_product(lhs, dw) < -1e-6)
-        added = set(breached.tolist()).difference(dense.active_set)
-        if not added:
+        resolved = tuple(sorted(set(breached.tolist()).union(dense.active_set)))
+        if resolved in (dense.active_set, warm):
             break
-        warm = tuple(sorted(added.union(dense.active_set)))
+        warm = resolved
     return QpSolution(dw, lam, mu, dense.active_set, iterations, resolves)
 
 
@@ -511,8 +590,8 @@ def _eq_constrained_min(H, q, C_W, d_W):
     bounds = _bound_structure(C_W)
     if bounds is not None and len(set(bounds[0])) == t:
         cols, coefs = bounds
-        x = np.zeros(n)
-        x[cols] = d_W / coefs
+        x = np.zeros((n,) + q.shape[1:])
+        x[cols] = (d_W.T / coefs).T
         free = np.ones(n, dtype=bool)
         free[cols] = False
         if free.any():

@@ -368,3 +368,48 @@ class TestTimings:
         prep = max(c.preparation_s for c in controller.cycle_logs)
         fb = max(c.feedback_s for c in controller.cycle_logs)
         assert fb < prep
+
+
+class TestFeedbackQp:
+    @pytest.mark.parametrize("name", ["rti", "as-rti-a", "as-rti-b-2", "as-rti-c-2", "as-rti-d-2"])
+    def test_each_feedback_calls_condense_rhs_and_solve_once(self, pendulum_nlp, monkeypatch, name):
+        import asrti.controller as ctrl_mod
+
+        calls = []
+        solve = ctrl_mod.condense_rhs_and_solve
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(ctrl_mod, "condense_rhs_and_solve", counted)
+        per_feedback = []
+        feedback = AsRtiController.feedback
+
+        def counting(self, x):
+            before = len(calls)
+            out = feedback(self, x)
+            per_feedback.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(AsRtiController, "feedback", counting)
+        _, _, controller = run_cycles(
+            pendulum_nlp, ControllerConfig.from_name(name), [0.3, 0.0, 0.0, 0.0], 8,
+            disturbances={2: np.array([60.0])},
+        )
+        assert per_feedback == [1] * 8
+        iterations = [c.qp_iterations for c in controller.cycle_logs]
+        assert iterations == calls
+        assert 0 in iterations and max(iterations) > 0  # map hits, and a miss after the kick
+
+    def test_feedback_returns_the_cycle_log_it_appends(self, pendulum_nlp):
+        for name in ("rti", "sqp-2"):
+            controller = AsRtiController(pendulum_nlp, ControllerConfig.from_name(name))
+            controller.prepare(np.array([0.1, 0.0, 0.0, 0.0]))
+            _, log = controller.feedback(np.array([0.1, 0.0, 0.0, 0.0]))
+            assert log is controller.cycle_logs[-1]
+            if name == "sqp-2":
+                assert log.qp_iterations is None and log.qp_resolves is None
+            else:
+                assert log.qp_iterations >= 0 and log.qp_resolves == 0

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asrti.benchmark import build_pendulum_ocp
+from asrti.benchmark import (
+    ScenarioConfig,
+    build_pendulum_ocp,
+    draw_scenario,
+    pendulum_model,
+    run_scenario,
+)
+from asrti.controller import AsRtiController, ControllerConfig, predict_state
+from asrti.integrators import simulate_plant
+from asrti.mli import level_b, level_c, prepare_linearization
 from asrti.nlp import transcribe
 from asrti.qp import (
     DenseQpResult,
@@ -22,6 +31,7 @@ from asrti.qp import (
     hess_product,
     ineq_jac_product,
     ineq_jac_t_product,
+    prepare_feedback_map,
     solve_dense_qp,
 )
 
@@ -410,6 +420,26 @@ class TestCondensing:
         assert clean.resolves == 0
         assert np.max(np.abs(sol.dw - clean.dw)) < 1e-6
 
+    def test_resolves_stop_when_the_warm_set_repeats(self, monkeypatch):
+        # the dense solver may drop a pinned breached row again and again
+        # (an ill-conditioned condensed multiplier); re-solving from the
+        # same warm set cannot change the result
+        import asrti.qp as qp_mod
+
+        nlp = transcribe(build_pendulum_ocp())
+        x = np.array([0.0, 0.3, 4.0, -3.0])  # excited enough to saturate u
+        data = build_qp_data(nlp, nlp.cold_start(x).w)
+        calls = []
+
+        def always_unconstrained(H, q, C, d, warm_active=None, **kwargs):
+            calls.append(warm_active)
+            return DenseQpResult(-np.linalg.solve(H, q), np.zeros(C.shape[0]), (), 1, 0)
+
+        monkeypatch.setattr(qp_mod, "solve_dense_qp", always_unconstrained)
+        sol = condense_rhs_and_solve(condense_lhs(data), data, x)
+        assert len(calls) == 2 and calls[0] is None and len(calls[1]) > 0
+        assert (sol.resolves, sol.iterations) == (1, 2)
+
     def test_structured_products_match_dense(self):
         rng = np.random.default_rng(13)
         data = random_ocp_qp(rng, 4, 3, 2)
@@ -445,15 +475,17 @@ class TestCondensing:
         lhs = condense_lhs(data)
         A, H = dense_blocks(data)
         G = dense_eq_jacobian(data)
-        v = rng.normal(size=data.n_w)
-        lam = rng.normal(size=data.n_g)
-        mu = rng.normal(size=data.n_h)
-        assert np.allclose(eq_jac_product(data.phi_x, data.phi_u, v), G @ v)
-        assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
-        for rows in (data, lhs):
-            assert np.allclose(ineq_jac_product(rows, v), H @ v)
-            assert np.allclose(ineq_jac_t_product(rows, mu), H.T @ mu)
-        assert np.allclose(hess_product(lhs, v), A @ v)
+        # vectors, and the same products column by column
+        for cols in ((), (2,)):
+            v = rng.normal(size=(data.n_w,) + cols)
+            lam = rng.normal(size=(data.n_g,) + cols)
+            mu = rng.normal(size=(data.n_h,) + cols)
+            assert np.allclose(eq_jac_product(data.phi_x, data.phi_u, v), G @ v)
+            assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
+            for rows in (data, lhs):
+                assert np.allclose(ineq_jac_product(rows, v), H @ v)
+                assert np.allclose(ineq_jac_t_product(rows, mu), H.T @ mu)
+            assert np.allclose(hess_product(lhs, v), A @ v)
         assert np.allclose(lhs.ineq, H @ lhs.T)
 
     def test_asymmetric_hessian_block_rejected(self):
@@ -462,3 +494,110 @@ class TestCondensing:
         data.hess_blocks[0] = data.hess_blocks[0] + np.triu(np.ones((3, 3)), 1)
         with pytest.raises(QpSolverError):
             condense_lhs(data)
+
+
+# ---------------------------------------------------------------------------
+# Feedback map
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[20, 80])
+def loop_qp(request):
+    """A pendulum linearization at a closed-loop RTI iterate.
+
+    Returns the NLP, the iterate, its prepared linearization, the state it
+    was predicted for, the state the plant reached instead and the state a
+    60 N kick would have reached.
+    """
+    nlp = transcribe(build_pendulum_ocp(n_intervals=request.param))
+    controller = AsRtiController(nlp, ControllerConfig.from_name("rti"))
+    plant = pendulum_model()
+    x = np.array([0.3, 0.0, 0.0, 0.0])
+    controller.prepare(x)
+    for _ in range(8):
+        u, _ = controller.feedback(x)
+        controller.prepare(x)
+        x_prev, x = x, simulate_plant(plant, x, u, 0.05)
+    z = controller.iterate
+    x_kick = simulate_plant(plant, x_prev, np.array([60.0]), 0.05)
+    return nlp, z, prepare_linearization(nlp, z), predict_state(nlp, x_prev, z), x, x_kick
+
+
+class TestFeedbackMap:
+    @pytest.mark.parametrize("N", [20, 80])
+    def test_hits_are_no_less_accurate_than_the_vector_phase(self, monkeypatch, N):
+        # every map hit of a closed loop against the map-free vector phase
+        # on the same QP and state: each is accurate to condensing's
+        # roundoff, so compare the worst and the typical residual
+        import asrti.controller as ctrl_mod
+
+        pairs = []
+        solve = ctrl_mod.condense_rhs_and_solve
+
+        def compared(lhs, data, x, warm_active=None):
+            sol = solve(lhs, data, x, warm_active=warm_active)
+            if sol.iterations == 0:
+                fmap, lhs.feedback_map = lhs.feedback_map, None
+                plain = condense_rhs_and_solve(lhs, data, x, warm_active=warm_active)
+                lhs.feedback_map = fmap
+                assert sol.active_set == plain.active_set
+                pairs.append([full_space_kkt_residual(data, x, s) for s in (sol, plain)])
+            return sol
+
+        monkeypatch.setattr(ctrl_mod, "condense_rhs_and_solve", compared)
+        cfg = ScenarioConfig()
+        run_scenario(
+            build_pendulum_ocp(n_intervals=N), pendulum_model(), ControllerConfig.from_name("rti"),
+            draw_scenario(cfg, 0), cfg, collect_kkt_metrics=False,
+        )
+        hit, plain = np.array(pairs).T
+        assert len(pairs) > 70
+        assert hit.max() <= plain.max()
+        assert np.median(hit / plain) <= 1.0
+
+    def test_miss_after_a_kick_returns_the_vector_phase(self, loop_qp):
+        _, _, prep, x_pred, _, x_kick = loop_qp
+        prepare_feedback_map(prep.lhs, prep.data, x_pred)
+        at_pred = condense_rhs_and_solve(prep.lhs, prep.data, x_pred)
+        assert at_pred.iterations == 0
+        miss = condense_rhs_and_solve(prep.lhs, prep.data, x_kick)
+        prep.lhs.feedback_map = None
+        plain = condense_rhs_and_solve(prep.lhs, prep.data, x_kick, warm_active=at_pred.active_set)
+        assert miss.iterations > 0
+        for field in ("dw", "lam", "mu"):
+            assert np.array_equal(getattr(miss, field), getattr(plain, field))
+        assert (miss.active_set, miss.iterations, miss.resolves) == (
+            plain.active_set, plain.iterations, plain.resolves,
+        )
+
+    @pytest.mark.parametrize("level", [level_b, level_c])
+    def test_levels_b_and_c_are_unchanged_by_a_map(self, loop_qp, level):
+        nlp, z, prep, x_pred, _, _ = loop_qp
+        prep.lhs.feedback_map = None
+        plain = level(prep, nlp, x_pred, z, 2)
+        prepare_feedback_map(prep.lhs, prep.data, x_pred)
+        mapped = level(prep, nlp, x_pred, z, 2)
+        assert np.array_equal(plain.stacked(), mapped.stacked())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 5),
+        n_x=st.integers(1, 3),
+        n_u=st.integers(1, 2),
+        scale=st.floats(0.0, 2.0),
+    )
+    def test_map_point_solves_the_qp_while_its_check_passes(self, seed, N, n_x, n_u, scale):
+        # criterion-2-style QPs; the map holds the cold solve's set at x_pred
+        rng = np.random.default_rng(seed)
+        data = random_ocp_qp(rng, N, n_x, n_u)
+        x_pred = rng.normal(size=n_x)
+        lhs = condense_lhs(data)
+        prepare_feedback_map(lhs, data, x_pred, condense_and_solve(data, x_pred).active_set)
+        map_set = condense_rhs_and_solve(lhs, data, x_pred).active_set
+        x = x_pred + scale * rng.normal(size=n_x)
+        sol = condense_rhs_and_solve(lhs, data, x)
+        if sol.iterations == 0:
+            assert full_space_kkt_residual(data, x, sol) < 1e-8
+        if condense_and_solve(data, x).active_set != map_set:
+            assert sol.iterations > 0
