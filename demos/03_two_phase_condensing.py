@@ -1,9 +1,9 @@
-"""The matrix/vector split of condensing: prepare once, re-solve cheaply.
+"""The matrix/vector split of the QP layer: prepare once, re-solve cheaply.
 
-The matrix phase eliminates all states (and the pinned initial state)
+The matrix phase fills the QP's stage-ordered KKT matrix into band storage
 once; the vector phase then serves many right-hand sides -- new residual
-vectors or new parameters -- which is exactly what the real-time feedback
-phase exploits.
+vectors or new parameters -- with banded solves, which is exactly what the
+real-time feedback phase exploits.
 """
 
 import time
@@ -19,11 +19,12 @@ x = np.array([0.1, 0.1, 0.0, 0.0])
 z = nlp.cold_start(x)
 data = build_qp_data(nlp, z.w)
 
-condense_lhs(data)  # warm-up (jit compilation on first use)
+condense_lhs(data)  # warm-up (the band layout is built on first use)
 t0 = time.perf_counter()
 lhs = condense_lhs(data)
 t_lhs = time.perf_counter() - t0
-print(f"matrix phase: condensed Hessian {lhs.hess.shape}, bounds matrix {lhs.ineq.shape}, {1e3*t_lhs:.2f} ms")
+band = lhs.layout
+print(f"matrix phase: KKT band of size {band.n} with half-bandwidth {band.bw}, {1e3*t_lhs:.2f} ms")
 
 t0 = time.perf_counter()
 sol = condense_rhs_and_solve(lhs, data, x)

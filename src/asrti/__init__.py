@@ -1,10 +1,10 @@
 """Real-time nonlinear MPC with advanced-step real-time iterations.
 
 The package provides a multiple-shooting transcription layer, an implicit
-Radau IIA integrator with exact sensitivities, a condensing-based dense
-active-set QP solver with a matrix/vector phase split, SQP iterations at
-four inexactness levels (A-D) and a closed-loop controller plus benchmark
-harness around an inverted pendulum.
+Radau IIA integrator with exact sensitivities, an active-set QP solver on
+a banded factorization of the full-space KKT system with a matrix/vector
+phase split, SQP iterations at four inexactness levels (A-D) and a
+closed-loop controller plus benchmark harness around an inverted pendulum.
 """
 
 from .controller import AsRtiController, ControllerConfig, CycleLog, predict_state
@@ -44,7 +44,6 @@ from .nlp import (
     control_bounds,
     eval_kkt,
     kkt_vectors,
-    lagrange_gradient,
     transcribe,
 )
 from .qp import (

@@ -3,7 +3,6 @@
 from .pendulum import (
     PendulumParams,
     build_pendulum_ocp,
-    dare_residual,
     dare_terminal_cost,
     pendulum_model,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "pendulum_model",
     "build_pendulum_ocp",
     "dare_terminal_cost",
-    "dare_residual",
     "ScenarioConfig",
     "ScenarioRealization",
     "ScenarioLog",

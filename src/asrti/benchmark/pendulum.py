@@ -19,7 +19,6 @@ __all__ = [
     "PendulumParams",
     "pendulum_model",
     "dare_terminal_cost",
-    "dare_residual",
     "build_pendulum_ocp",
     "DEFAULT_STATE_WEIGHTS",
     "DEFAULT_CONTROL_WEIGHT",
@@ -98,13 +97,6 @@ def pendulum_model(params: PendulumParams = None) -> OdeModel:
         return J
 
     return OdeModel(n_x=4, n_u=1, rhs=rhs, jac_x=jac_x, jac_u=jac_u)
-
-
-def dare_residual(P, A, B, Q, R):
-    """Infinity norm of the discrete algebraic Riccati equation residual."""
-    BtP = B.T @ P
-    step = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R + BtP @ B, BtP @ A)
-    return float(np.max(np.abs(step - P)))
 
 
 def dare_terminal_cost(A, B, Q, R, tol=1e-10, max_iter=10_000):

@@ -3,11 +3,13 @@
 One controller instance is a strict prepare -> feedback state machine.
 For RTI and AS-RTI the preparation phase predicts the next state, runs
 the configured inner iterations on the advanced problem, evaluates the QP
-data at the resulting linearization point, caches the condensing matrix
-phase and maps the QP's solution affinely in the state around the
-predicted one (:func:`~asrti.qp.prepare_feedback_map`); the feedback phase
-is one vector-phase call for the measured state, which evaluates that map
-while its active set stays optimal, and touches no model callbacks
+data at the resulting linearization point, fills the QP's banded KKT
+matrix (the matrix phase) and maps the QP's solution affinely in the
+state around the predicted one with one banded factorization and solve
+(:func:`~asrti.qp.prepare_feedback_map`).  The feedback phase is one
+vector-phase call for the measured state: it evaluates that map while its
+active set stays optimal, otherwise it runs the active-set loop from the
+map's set on the cached factorization.  It touches no model callbacks
 (audited through the NLP evaluation counters).  In SQP mode the feedback
 runs the SQP iterations from the carried iterate; on a uniform grid,
 where every interval equals the first, the preparation shifts that
@@ -100,9 +102,8 @@ class CycleLog:
     feedback_evals: int
     inner_trace: Optional[list] = None
     feedback_residuals: Optional[tuple] = None
-    # the feedback QpSolution's counts (0 iterations: the map served it); None in sqp mode
+    # the feedback QpSolution's iterations (0: the map served it); None in sqp mode
     qp_iterations: Optional[int] = None
-    qp_resolves: Optional[int] = None
 
 
 def predict_state(nlp: OcpNlp, x, z: Iterate):
@@ -253,7 +254,6 @@ class AsRtiController:
             inner_trace=self._pending_trace,
             feedback_residuals=fb_res,
             qp_iterations=getattr(sol, "iterations", None),
-            qp_resolves=getattr(sol, "resolves", None),
         )
         self.cycle_logs.append(log)
         self._cycle += 1

@@ -58,7 +58,7 @@ class PreparedLinearization:
     """Frozen QP data at a reference point, ready for cheap re-solves.
 
     Holds the reference iterate, the full QP data evaluated there (with
-    the plain objective gradient) and the condensed matrix phase.
+    the plain objective gradient) and the QP's matrix phase.
     """
 
     ref: Iterate
@@ -103,7 +103,7 @@ class SqpResult:
 
 
 def prepare_linearization(nlp: OcpNlp, z: Iterate) -> PreparedLinearization:
-    """Evaluate full QP data at ``z`` and run the condensing matrix phase."""
+    """Evaluate full QP data at ``z`` and run the QP's matrix phase."""
     data = build_qp_data(nlp, z.w)
     return PreparedLinearization(z.copy(), data, condense_lhs(data))
 
@@ -187,7 +187,7 @@ def level_c(
 ) -> Iterate:
     """Frozen-matrix iterations with exact residuals and gradient correction.
 
-    The QP keeps the matrices (and the condensed matrix phase) from the
+    The QP keeps the matrices (and the matrix phase) from the
     reference point while the constraint residuals are re-evaluated at
     every iterate.  The gradient vector is corrected so that the QP
     stationarity uses the exact Lagrange gradient with the frozen

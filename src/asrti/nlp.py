@@ -40,7 +40,6 @@ __all__ = [
     "transcribe",
     "eval_kkt",
     "kkt_vectors",
-    "lagrange_gradient",
 ]
 
 
@@ -262,7 +261,7 @@ class OcpNlp:
     ``(Q, R)`` with per-stage scales, the N+1 Hessian blocks, the stage
     inequality rows ``(N, m, n_x+n_u)`` with offsets ``(N, m)`` and the
     terminal rows ``(m_T, n_x)`` with their offset.  All N intervals are
-    integrated in one batched Radau step.  The condensing layer reads the
+    integrated in one batched Radau step.  The QP layer reads the
     stage structure together with the per-interval dynamics Jacobians.
     Pack/unpack helpers, the one-interval ``shift`` of an iterate
     (``uniform_grid`` tells whether every interval equals the first, the
@@ -466,11 +465,6 @@ def kkt_vectors(nlp: OcpNlp, z: Iterate, x):
     ``z.w`` supplies the stage structure of ``G`` and ``H``.
     """
     return _kkt_vectors_from_data(build_qp_data(nlp, z.w), z, np.asarray(x, dtype=float))
-
-
-def lagrange_gradient(nlp: OcpNlp, z: Iterate, x=None):
-    """Gradient of the Lagrangian with respect to the primal variables."""
-    return kkt_vectors(nlp, z, np.zeros(nlp.n_x) if x is None else x)[0]
 
 
 def eval_kkt(nlp: OcpNlp, z: Iterate, x) -> KktResidual:

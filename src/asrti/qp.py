@@ -1,17 +1,28 @@
-"""Structured OCP quadratic programs: condensing and active-set solution.
+"""Structured OCP quadratic programs: a banded KKT factorization per active set.
 
 The stage-structured QP
 
     min_dw   a'dw + 1/2 dw' A dw
     s.t.     g + M x + G dw = 0,    h + H dw >= 0
 
-is reduced to a dense QP in the stacked controls by eliminating all state
-variables through the dynamics linearization and the initial-state
-constraint.  The reduction is split into a matrix phase
-(:func:`condense_lhs`, everything that does not depend on the residual
-vectors or the parameter) and a vector phase
-(:func:`condense_rhs_and_solve`) so that a prepared left-hand side can be
-re-solved cheaply for new right-hand sides.
+is solved in the full space.  With a working set W of inequality rows held
+as equalities, its KKT system
+
+    [  A    -G'  -H_W' ] [ dw  ]   [ -a      ]
+    [ -G     0    0    ] [ lam ] = [ g + M x ]
+    [ -H_W   0    0    ] [ mu  ]   [ h_W     ]
+
+is symmetric, and with the unknowns ordered stage by stage as
+``(lam_k, s_k, u_k, mu_k)`` and the terminal stage as ``(lam_N, s_N, mu_T)``
+it is banded, with half-bandwidth ``2 n_x + n_u + m - 1`` for ``m`` rows per
+stage.  An inactive row stays in place as the identity row ``mu_i = 0``, so
+the band's pattern never changes.  The matrix phase (:func:`condense_lhs`)
+fills LAPACK band storage from the stage blocks; the vector phase
+(:func:`condense_rhs_and_solve`) runs a primal active-set loop whose every
+working set is one banded LU (``dgbtrf``, the last one cached) and one
+``dgbtrs`` solve, refined once with the same factors.  The refinement
+brings every KKT row to the roundoff of its own terms, so a returned step
+meets the dynamics, the held rows and stationarity each to its own scale.
 
 For a fixed active set the solution is affine in ``x``;
 :func:`prepare_feedback_map` caches that map on the matrix phase, and the
@@ -21,10 +32,11 @@ vector phase evaluates it while its active set stays optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "QpInfeasibleError",
@@ -39,7 +51,6 @@ __all__ = [
     "condense_and_solve",
     "prepare_feedback_map",
     "solve_dense_qp",
-    "eq_jac_product",
     "eq_jac_t_product",
     "ineq_jac_product",
     "ineq_jac_t_product",
@@ -48,12 +59,7 @@ __all__ = [
 
 HESSIAN_REG = 1e-8
 DEFAULT_QP_MAX_ITER = 200
-
-# The vector phase runs once per feedback: solve_dense_qp checks its
-# vectors once, so the many small Cholesky calls skip scipy's finiteness
-# scan of every operand.
-_cho_factor = partial(cho_factor, check_finite=False)
-_cho_solve = partial(cho_solve, check_finite=False)
+FEAS_TOL = 1e-9
 
 
 class QpSolverError(RuntimeError):
@@ -138,32 +144,91 @@ def build_qp_data(nlp, w, grad=None) -> OcpQpData:
     )
 
 
+@dataclass(frozen=True)
+class BandLayout:
+    """Where the entries of the stage-ordered KKT matrix sit in band storage.
+
+    The band is held transposed, ``(n, 3 bw + 1)`` in C order: LAPACK's
+    ``(2 kl + ku + 1, n)`` Fortran array for ``kl = ku = bw``.  ``w_pos``,
+    ``g_pos`` and ``h_pos`` place ``dw``, ``lam`` and ``mu`` in the KKT
+    order.  Row 0 of ``fill`` holds the flat band index of each entry of the
+    stage Hessians, the terminal Hessian, ``[phi_x phi_u]``, the identities
+    of ``G``, the stage rows and the terminal rows, in that order; row 1
+    holds its mirror image.  The inequality entries start at ``split``, and
+    ``row_of`` names the row of each.
+    """
+
+    n: int
+    bw: int
+    w_pos: np.ndarray
+    g_pos: np.ndarray
+    h_pos: np.ndarray
+    fill: np.ndarray
+    split: int
+    row_of: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _band_layout(N, n_x, n_u, m, m_T) -> BandLayout:
+    size = 2 * n_x + n_u + m  # one stage: lam_k, s_k, u_k, mu_k
+    stage = np.arange(N)[:, None] * size
+    w = stage + n_x + np.arange(n_x + n_u)  # (s_k, u_k)
+    s_N = N * size + n_x + np.arange(n_x)
+    g_pos = (np.arange(N + 1)[:, None] * size + np.arange(n_x)).ravel()
+    h_stage = stage + 2 * n_x + n_u + np.arange(m)
+    h_pos = np.concatenate([h_stage.ravel(), s_N[-1] + 1 + np.arange(m_T)])
+    groups = [
+        (w[:, :, None], w[:, None, :]),
+        (s_N[:, None], s_N),
+        (g_pos[n_x:].reshape(N, n_x, 1), w[:, None, :]),
+        (g_pos, np.concatenate([w[:, :n_x].ravel(), s_N])),
+        (h_stage[:, :, None], w[:, None, :]),
+        (h_pos[N * m :, None], s_N),
+    ]
+    pairs = [np.broadcast_arrays(*group) for group in groups]
+    r = np.concatenate([rows.ravel() for rows, _ in pairs])
+    c = np.concatenate([cols.ravel() for _, cols in pairs])
+    bw = int(np.max(np.abs(r - c)))
+    fill = np.stack([c, r]) * (3 * bw + 1) + 2 * bw + np.stack([r - c, c - r])
+    n_hess = pairs[0][0].size + pairs[1][0].size
+    fill[1, :n_hess] = fill[0, :n_hess]  # the Hessian blocks hold both triangles
+    split = sum(rows.size for rows, _ in pairs[:4])
+    row_of = np.searchsorted(h_pos, r[split:])
+    w_pos = np.concatenate([w.ravel(), s_N])
+    for array in (w_pos, g_pos, h_pos, fill, row_of):
+        array.setflags(write=False)  # shared by every lhs of this shape
+    return BandLayout(N * size + 2 * n_x + m_T, bw, w_pos, g_pos, h_pos, fill, split, row_of)
+
+
 @dataclass
 class CondensedLhs:
-    """Matrix-phase output of full condensing with s_0 eliminated.
+    """Matrix phase: the QP's KKT matrix in LAPACK band storage.
 
-    ``hess`` and ``ineq`` are the dense Hessian and inequality matrix over
-    the stacked controls.  ``T``, ``TA``, the dynamics Jacobians and the
-    retained stage blocks are the propagation operators that map the
-    parameter and the residual vectors to the condensed gradient and
-    bounds in the vector phase (and back to the full space afterwards).
+    ``band`` holds every entry of the stage-ordered KKT matrix with all
+    inequality rows active (see the module docstring and
+    :class:`BandLayout`); ``factors`` caches ``(working set, LU, pivots,
+    inactive multiplier positions)`` of the last working set factored.  The
+    stage blocks serve the structured products, ``phi`` stacks ``[phi_x
+    phi_u]`` per stage for the forward dynamics recursion, and ``bounds``
+    gives, when every inequality row bounds a single control, each row's
+    position in ``dw`` and its coefficient.  ``regularization`` is the shift
+    added to the Hessian blocks' diagonals (0 unless a block is not
+    positive definite); the blocks held here include it.
     """
 
     N: int
     n_x: int
     n_u: int
-    hess: np.ndarray
-    ineq: np.ndarray
-    T: np.ndarray
-    TA: np.ndarray
+    band: np.ndarray
+    layout: BandLayout
     hess_stage: np.ndarray  # (N, n_x+n_u, n_x+n_u)
     hess_term: np.ndarray
     ineq_stage_blocks: np.ndarray  # (N, m, n_x+n_u)
     ineq_term_block: np.ndarray
-    phi_x: np.ndarray
-    phi_u: np.ndarray
-    chol: tuple = None  # cached Cholesky factor of hess
+    phi: np.ndarray  # (N, n_x, n_x+n_u)
+    bounds: tuple = None
     regularization: float = 0.0
+    factors: tuple = None
     feedback_map: tuple = None  # cached by prepare_feedback_map
 
     @property
@@ -175,8 +240,8 @@ class CondensedLhs:
 class QpSolution:
     """Full-space primal-dual solution of the structured QP.
 
-    ``iterations`` sums the dense solver's iterations over every solve the
-    vector phase ran; ``resolves`` counts the breach guard's re-solves.
+    ``iterations`` counts the active-set iterations; 0 means the feedback
+    map served the solve.
     """
 
     dw: np.ndarray
@@ -184,11 +249,10 @@ class QpSolution:
     mu: np.ndarray
     active_set: tuple
     iterations: int
-    resolves: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Condensing
+# Structured products
 # ---------------------------------------------------------------------------
 
 
@@ -210,103 +274,6 @@ def ineq_jac_product(data_like, dw):
     stage = np.matmul(data_like.ineq_stage_blocks, dw[:split].reshape(data_like.N, stride, -1))
     term = data_like.ineq_term_block @ dw[split:]
     return np.concatenate([stage.reshape((-1,) + dw.shape[1:]), term])
-
-
-def condense_lhs(data: OcpQpData) -> CondensedLhs:
-    """Matrix phase: eliminate states and the initial state variable.
-
-    Only the matrix quantities of ``data`` are read.  The condensed
-    Hessian is regularized with ``HESSIAN_REG * I`` if its Cholesky
-    factorization fails; a second failure is an error.
-    """
-    N, n_x, n_u = data.N, data.n_x, data.n_u
-    stride = n_x + n_u
-    n_w = data.n_w
-    nu_tot = N * n_u
-    Ab = np.stack(data.hess_blocks[:N])
-    At = np.array(data.hess_blocks[N], dtype=float, copy=True)
-    asym = np.append(
-        np.max(np.abs(Ab - Ab.transpose(0, 2, 1)), axis=(1, 2)), np.max(np.abs(At - At.T))
-    )
-    if np.any(asym > 1e-9):
-        k = int(np.argmax(asym > 1e-9))
-        raise QpSolverError(f"Hessian block {k} is not symmetric")
-
-    # T maps stacked control steps to the full primal step with the
-    # homogeneous dynamics recursion ds_{k+1} = phi_x ds_k + phi_u du_k
-    # and ds_0 = 0 (the initial state is pinned by the parameter).
-    T = np.zeros((n_w, nu_tot))
-    phi_x = np.ascontiguousarray(data.phi_x)
-    phi_u = np.ascontiguousarray(data.phi_u)
-    S = np.zeros((n_x, nu_tot))
-    for k in range(N):
-        base = k * stride
-        T[base : base + n_x] = S
-        T[base + n_x : base + stride, k * n_u : (k + 1) * n_u] = np.eye(n_u)
-        S = phi_x[k] @ S
-        S[:, k * n_u : (k + 1) * n_u] += phi_u[k]
-    T[N * stride :] = S
-
-    # T' A stage by stage: A is block diagonal
-    TA = np.empty((nu_tot, n_w))
-    Ts = T[: N * stride].reshape(N, stride, nu_tot)
-    blocks = np.matmul(Ts.transpose(0, 2, 1), Ab)  # (N, nu_tot, stride)
-    TA[:, : N * stride] = blocks.transpose(1, 0, 2).reshape(nu_tot, N * stride)
-    TA[:, N * stride :] = T[N * stride :].T @ At
-    hess = TA @ T
-    hess = 0.5 * (hess + hess.T)
-    reg = 0.0
-    try:
-        chol = cho_factor(hess)
-    except np.linalg.LinAlgError:
-        reg = HESSIAN_REG
-        hess = hess + reg * np.eye(nu_tot)
-        try:
-            chol = cho_factor(hess)
-        except np.linalg.LinAlgError:
-            raise QpSolverError("condensed Hessian not positive definite after regularization")
-
-    # condensed inequality rows: each stage's rows read that stage's T rows
-    ineq = np.concatenate([
-        np.matmul(data.ineq_stage_blocks, Ts).reshape(-1, nu_tot),
-        data.ineq_term_block @ T[N * stride :],
-    ])
-
-    return CondensedLhs(
-        N=N,
-        n_x=n_x,
-        n_u=n_u,
-        hess=hess,
-        ineq=ineq,
-        T=T,
-        TA=TA,
-        hess_stage=Ab,
-        hess_term=At,
-        ineq_stage_blocks=np.array(data.ineq_stage_blocks, copy=True),
-        ineq_term_block=np.array(data.ineq_term_block, dtype=float, copy=True),
-        phi_x=np.array(phi_x, copy=True),
-        phi_u=np.array(phi_u, copy=True),
-        chol=chol,
-        regularization=reg,
-    )
-
-
-def _particular_step(lhs: CondensedLhs, eq_res, x):
-    """Primal response to the residuals at zero control step.
-
-    The initial-state rows read ``s0_value - x = 0`` inside the QP, so
-    ``ds_0 = x - s0_value``; the remaining states follow the inhomogeneous
-    dynamics recursion driven by the shooting-gap residuals.
-    """
-    N, n_x, phi_x = lhs.N, lhs.n_x, lhs.phi_x
-    stride = n_x + lhs.n_u
-    cols = x.shape[1:]
-    gaps = eq_res[n_x:].reshape((N, n_x) + cols)
-    t = np.zeros((N + 1, stride) + cols)
-    ds = t[0, :n_x] = x - eq_res[:n_x]
-    for k in range(N):
-        ds = t[k + 1, :n_x] = np.dot(phi_x[k], ds) + gaps[k]
-    return t.reshape(((N + 1) * stride,) + cols)[: lhs.n_w]
 
 
 def eq_jac_t_product(phi_x, phi_u, lam):
@@ -339,117 +306,190 @@ def ineq_jac_t_product(data, mu):
     return out
 
 
-def eq_jac_product(phi_x, phi_u, dw):
-    """``G dw`` from the stage structure of the equality Jacobian."""
-    N, n_x = phi_x.shape[0], phi_x.shape[1]
-    n_u = phi_u.shape[2]
-    stride = n_x + n_u
-    cols = dw.shape[1:]
-    sm = dw[: N * stride].reshape((N, stride) + cols)
-    out = np.empty(((N + 1) * n_x,) + cols)
-    out[:n_x] = dw[:n_x]
-    prop = (
-        np.matmul(phi_x, sm[:, :n_x].reshape(N, n_x, -1))
-        + np.matmul(phi_u, sm[:, n_x:].reshape(N, n_u, -1))
-    ).reshape((N, n_x) + cols)
-    prop[:-1] -= sm[1:, :n_x]
-    prop[-1] -= dw[N * stride :]
-    out[n_x:] = prop.reshape((N * n_x,) + cols)
-    return out
+# ---------------------------------------------------------------------------
+# Matrix phase: the banded KKT matrix
+# ---------------------------------------------------------------------------
 
 
-def _recover_eq_multipliers(lhs: CondensedLhs, r):
-    """Back-substitute the eliminated stationarity rows for ``lam``.
+def condense_lhs(data: OcpQpData) -> CondensedLhs:
+    """Matrix phase: fill the banded KKT matrix from the stage blocks.
 
-    ``r = a + A dw - H' mu``; the recursion annihilates the state rows of
-    the full-space stationarity from the terminal stage backwards.
+    Only the matrix quantities of ``data`` are read.  The Hessian blocks
+    must be symmetric.  If one is not positive definite, every block's
+    diagonal is shifted by ``HESSIAN_REG``; a block that is still not
+    positive definite is an error.  No factorization happens here: the
+    vector phase factors the band for each working set it visits.
     """
-    N, n_x = lhs.N, lhs.n_x
-    stride = n_x + lhs.n_u
-    cols = r.shape[1:]
-    phi_t = lhs.phi_x.transpose(0, 2, 1)
-    r_states = r[: N * stride].reshape((N, stride) + cols)[:, :n_x]
-    lam = np.empty((N + 1, n_x) + cols)
-    lam_next = lam[N] = -r[N * stride : N * stride + n_x]
-    for k in range(N - 1, 0, -1):
-        lam_next = lam[k] = np.dot(phi_t[k], lam_next) - r_states[k]
-    lam[0] = r[:n_x] - np.dot(phi_t[0], lam_next)
-    return lam.reshape(((N + 1) * n_x,) + cols)
-
-
-def _solve_vectors(lhs: CondensedLhs, grad, eq_res, ineq_res, x, warm_active, max_iter):
-    """One condensed solve for a given set of vectors; returns the dense result too."""
-    t = _particular_step(lhs, eq_res, x)
-    q = lhs.TA @ t + lhs.T.T @ grad
-    n_h = ineq_res.shape[0]
-    d = -(ineq_res + ineq_jac_product(lhs, t)) if n_h else np.zeros(0)
-    dense = solve_dense_qp(
-        lhs.hess, q, lhs.ineq, d, warm_active=warm_active, max_iter=max_iter, chol=lhs.chol
+    N, n_x, n_u = data.N, data.n_x, data.n_u
+    Ab = np.stack(data.hess_blocks[:N])
+    At = np.array(data.hess_blocks[N], dtype=float, copy=True)
+    asym = np.append(
+        np.max(np.abs(Ab - Ab.transpose(0, 2, 1)), axis=(1, 2)), np.max(np.abs(At - At.T))
     )
-    dw = lhs.T @ dense.x + t
-    r = grad + hess_product(lhs, dw)
-    if n_h:
-        r = r - ineq_jac_t_product(lhs, dense.mu)
-    lam = _recover_eq_multipliers(lhs, r)
-    return dw, lam, dense
+    if np.any(asym > 1e-9):
+        k = int(np.argmax(asym > 1e-9))
+        raise QpSolverError(f"Hessian block {k} is not symmetric")
+    lowest = min(np.linalg.eigvalsh(Ab).min(), np.linalg.eigvalsh(At).min())
+    reg = HESSIAN_REG if lowest <= 0.0 else 0.0
+    if lowest + reg <= 0.0:
+        raise QpSolverError("Hessian blocks not positive definite after regularization")
+    Ab, At = Ab + reg * np.eye(n_x + n_u), At + reg * np.eye(n_x)
 
+    C = np.array(data.ineq_stage_blocks, copy=True)
+    C_T = np.array(data.ineq_term_block, dtype=float, copy=True)
+    phi = np.concatenate([data.phi_x, data.phi_u], axis=2)
+    layout = _band_layout(N, n_x, n_u, C.shape[1], C_T.shape[0])
+    band = np.zeros((layout.n, 3 * layout.bw + 1))
+    band.reshape(-1)[layout.fill] = np.concatenate([
+        Ab.ravel(), At.ravel(), -phi.ravel(), np.repeat([-1.0, 1.0], [n_x, N * n_x]),
+        -C.ravel(), -C_T.ravel(),
+    ])
 
-def _refine_fixed_active(lhs: CondensedLhs, grad, eq_res, ineq_res, x, dw, lam, mu, active):
-    """One full-space iterative-refinement pass with the active set pinned.
-
-    Condensing over long unstable horizons loses absolute accuracy by
-    cancellation; re-solving the same KKT system for the small full-space
-    residuals restores it.  Active inequality rows are corrected as
-    equalities, so the combinatorial solution is untouched.  From zero it is
-    a fixed-active-set solve.  Inputs may carry a trailing column axis, and
-    the multipliers come back unclipped.
-    """
-    rho_stat = grad + hess_product(lhs, dw) - eq_jac_t_product(lhs.phi_x, lhs.phi_u, lam)
-    n_h = ineq_res.shape[0]
-    if n_h:
-        rho_stat -= ineq_jac_t_product(lhs, mu)
-    rho_eq = eq_res.copy()
-    rho_eq[: lhs.n_x] -= x
-    rho_eq += eq_jac_product(lhs.phi_x, lhs.phi_u, dw)
-
-    t2 = _particular_step(lhs, rho_eq, np.zeros_like(x))
-    q2 = lhs.TA @ t2 + lhs.T.T @ rho_stat
-    act = list(active)
-    if act:
-        C_act = lhs.ineq[act]
-        b_act = -(
-            (ineq_res + ineq_jac_product(lhs, dw))[act] + ineq_jac_product(lhs, t2)[act]
-        )
-        du2 = _eq_constrained_min(lhs.hess, q2, C_act, b_act)
-        dmu_act, *_ = np.linalg.lstsq(C_act.T, lhs.hess @ du2 + q2, rcond=None)
+    # rows that bound one control each can be met by clipping (see _feasible_start)
+    bounds = _bound_structure(C.reshape(-1, n_x + n_u)) if not C_T.shape[0] else None
+    if bounds is not None and np.all(bounds[0] >= n_x):
+        m = C.shape[1]
+        bounds = (bounds[0] + (n_x + n_u) * (np.arange(N * m) // m), bounds[1])
     else:
-        du2 = -_cho_solve(lhs.chol, q2)
-        dmu_act = np.zeros(0)
-    dw2 = lhs.T @ du2 + t2
-    mu_new = mu.copy()
-    if act:
-        mu_new[act] = mu_new[act] + dmu_act
-    r2 = rho_stat + hess_product(lhs, dw2)
-    if n_h:
-        r2 = r2 - ineq_jac_t_product(lhs, mu_new - mu)
-    lam2 = _recover_eq_multipliers(lhs, r2)
-    return dw + dw2, lam + lam2, mu_new
+        bounds = None
+    return CondensedLhs(
+        N=N,
+        n_x=n_x,
+        n_u=n_u,
+        band=band,
+        layout=layout,
+        hess_stage=Ab,
+        hess_term=At,
+        ineq_stage_blocks=C,
+        ineq_term_block=C_T,
+        phi=phi,
+        bounds=bounds,
+        regularization=reg,
+    )
+
+
+def _factor(lhs: CondensedLhs, active):
+    """Banded LU of the KKT matrix with the rows ``active`` held, and the KKT
+    positions of the inactive rows' multipliers; the last one is cached."""
+    key = tuple(sorted(active))
+    if lhs.factors is None or lhs.factors[0] != key:
+        layout = lhs.layout
+        off = np.ones(layout.h_pos.shape[0], dtype=bool)
+        off[list(key)] = False
+        band = lhs.band.copy()
+        entries = band.reshape(-1)
+        entries[layout.fill[:, layout.split :][:, off[layout.row_of]]] = 0.0
+        entries[layout.h_pos[off] * (3 * layout.bw + 1) + 2 * layout.bw] = 1.0
+        lu, piv, info = dgbtrf(band.T, layout.bw, layout.bw, overwrite_ab=1)
+        if info > 0:
+            raise QpSolverError(f"KKT matrix singular for active set {key}")
+        lhs.factors = (key, lu, piv, layout.h_pos[off])
+    return lhs.factors[1:]
+
+
+def _rollout(lhs: CondensedLhs, dw, eq):
+    """Overwrite the states of ``dw`` with the forward dynamics recursion on its
+    controls, ``ds_0 = -eq_0`` and ``ds_{k+1} = [phi_x phi_u]_k (ds_k, du_k) +
+    eq_{k+1}`` for the shifted equality residuals ``eq``."""
+    N, n_x, phi = lhs.N, lhs.n_x, lhs.phi
+    stride = phi.shape[2]
+    gaps = eq[n_x:].reshape(N, n_x)
+    w = dw[: N * stride].reshape(N, stride)
+    w[0, :n_x] = -eq[:n_x]
+    for k in range(N - 1):
+        w[k + 1, :n_x] = np.dot(phi[k], w[k]) + gaps[k]
+    dw[N * stride :] = np.dot(phi[N - 1], w[N - 1]) + gaps[N - 1]
+    return dw
+
+
+def _kkt_rhs(lhs: CondensedLhs, grad, eq, ineq_res):
+    """The KKT right-hand side in the stage order; inputs may carry columns."""
+    layout = lhs.layout
+    rhs = np.empty((layout.n,) + eq.shape[1:])
+    rhs[layout.w_pos] = -grad
+    rhs[layout.g_pos] = eq
+    rhs[layout.h_pos] = ineq_res
+    return rhs
+
+
+def _kkt_solve(lhs: CondensedLhs, rhs, active):
+    """``(dw, lam, mu)`` of the KKT system with the rows ``active`` held.
+
+    One banded solve and one step of iterative refinement on the same
+    factors, which brings each row's residual to the roundoff of its own
+    terms; inactive rows get ``mu = 0``.  ``rhs`` may carry columns.
+    """
+    layout = lhs.layout
+    lu, piv, off = _factor(lhs, active)
+    sol, _ = dgbtrs(lu, layout.bw, layout.bw, rhs, piv)
+    sol[off] = 0.0
+    res = rhs - _band_product(lhs, sol)
+    res[off] = 0.0
+    sol += dgbtrs(lu, layout.bw, layout.bw, res, piv)[0]
+    return sol[layout.w_pos], sol[layout.g_pos], sol[layout.h_pos]
+
+
+def _band_product(lhs: CondensedLhs, z):
+    """``K z`` for the band with every inequality row active; ``z`` may carry columns."""
+    n, bw = lhs.layout.n, lhs.layout.bw
+    # The band reads as a general band with bw sub- and 2 bw superdiagonals
+    # (the top bw are zero).  BLAS takes at least 3 bw + 1 rows; the rows
+    # past n read band entries outside the matrix, which are zero.
+    rows = max(n, 3 * bw + 1)
+    cols = [dgbmv(rows, n, bw, 2 * bw, 1.0, lhs.band.T, c)[:n] for c in z.reshape(n, -1).T]
+    return np.stack(cols, axis=1).reshape(z.shape)
+
+
+class _FullSpace:
+    """The structured QP for :func:`_active_set`, in the full space."""
+
+    def __init__(self, lhs: CondensedLhs, data: OcpQpData, x):
+        eq = data.eq_res.copy()
+        eq[: lhs.n_x] -= x
+        self.rhs = _kkt_rhs(lhs, data.grad, eq, data.ineq_res)
+        if not np.all(np.isfinite(self.rhs)):
+            raise QpSolverError("QP vectors are not finite")
+        self.lhs, self.a, self.d = lhs, data.grad, -data.ineq_res
+        self.bounds = lhs.bounds
+
+    def solve(self, W):
+        dw, lam, mu = _kkt_solve(self.lhs, self.rhs, W)
+        return dw, mu[W], lam
+
+    def rows(self, dw):
+        return ineq_jac_product(self.lhs, dw)
+
+    def grad(self, dw):
+        return self.a + hess_product(self.lhs, dw)
+
+    def complete(self, dw):
+        return _rollout(self.lhs, dw, self.rhs[self.lhs.layout.g_pos])
+
+    def dense_rows(self):
+        layout = self.lhs.layout
+        K = _band_product(self.lhs, np.eye(layout.n))  # holds -G and -H
+        rows = [-K[np.ix_(pos, layout.w_pos)] for pos in (layout.g_pos, layout.h_pos)]
+        return rows[0], -self.rhs[layout.g_pos], rows[1], self.d
+
+
+# ---------------------------------------------------------------------------
+# Vector phase and feedback map
+# ---------------------------------------------------------------------------
 
 
 def _fixed_active_map(lhs: CondensedLhs, data: OcpQpData, x_pred, active):
     """``(data, x_pred, active, mask, offset, slope)``: the fixed-set solution is
     ``offset + slope (x - x_pred)``, stacking ``(dw, lam, mu, slack)``.  Column 0
-    solves the QP at ``x_pred``, column ``j`` the response to ``x = e_j``, each
-    by a fixed-active-set solve and one refinement pass."""
+    solves the QP at ``x_pred``, column ``j`` the response to ``x = e_j``; all
+    columns come from one banded solve."""
     n_x = lhs.n_x
     first = np.eye(1, n_x + 1)[0]
-    vectors = [np.outer(v, first) for v in (data.grad, data.eq_res, data.ineq_res)]
-    vectors.append(np.hstack([x_pred[:, None], np.eye(n_x)]))
-    z = [np.zeros((n, n_x + 1)) for n in (lhs.n_w, data.n_g, data.n_h)]
-    for _ in range(2):
-        z = _refine_fixed_active(lhs, *vectors, *z, active)
-    slack = vectors[2] + ineq_jac_product(lhs, z[0])
-    stacked = np.concatenate([*z, slack])
+    eq = np.outer(data.eq_res, first)
+    eq[:n_x] -= np.hstack([x_pred[:, None], np.eye(n_x)])
+    ineq_res = np.outer(data.ineq_res, first)
+    rhs = _kkt_rhs(lhs, np.outer(data.grad, first), eq, ineq_res)
+    dw, lam, mu = _kkt_solve(lhs, rhs, list(active))
+    stacked = np.concatenate([dw, lam, mu, ineq_res + ineq_jac_product(lhs, dw)])
     mask = np.zeros(data.n_h, dtype=bool)
     mask[list(active)] = True
     return data, x_pred, active, mask, stacked[:, 0], stacked[:, 1:]
@@ -470,8 +510,10 @@ def prepare_feedback_map(lhs: CondensedLhs, data: OcpQpData, x_pred, warm_active
     """Cache on ``lhs`` the solution of ``data``'s QP as an affine map of ``x``.
 
     The map fixes the active set ``warm_active``, or, if that set is not
-    optimal at ``x_pred``, the set one vector phase there ends with.  No
-    map is cached where the QP has no solution at ``x_pred``.
+    optimal at ``x_pred``, the set one vector phase there ends with.  It
+    is one refined banded solve on ``n_x + 1`` right-hand sides with that
+    set held.  No map is cached where the QP has no solution at
+    ``x_pred``.
     """
     x_pred = np.asarray(x_pred, dtype=float)
     active = tuple(warm_active or ())
@@ -481,7 +523,7 @@ def prepare_feedback_map(lhs: CondensedLhs, data: OcpQpData, x_pred, warm_active
         if _evaluate_map(fmap, x_pred) is None:
             active = condense_rhs_and_solve(lhs, data, x_pred, warm_active=active).active_set
             fmap = _fixed_active_map(lhs, data, x_pred, active)
-    except (QpInfeasibleError, QpSolverError, np.linalg.LinAlgError):
+    except (QpInfeasibleError, QpSolverError):
         return
     lhs.feedback_map = fmap
 
@@ -493,26 +535,21 @@ def condense_rhs_and_solve(
     warm_active=None,
     max_iter=DEFAULT_QP_MAX_ITER,
 ) -> QpSolution:
-    """Vector phase: condense the right-hand side, solve, and expand.
+    """Vector phase: solve the QP for parameter ``x`` on the banded factorization.
 
     Reads only the vector quantities of ``data`` (which must correspond to
-    the matrices ``lhs`` was built from), forms the condensed gradient and
-    bounds for parameter ``x``, solves the dense QP and expands the result
-    to the full primal-dual space.  Equality multipliers are recovered by
-    back-substitution through the eliminated stationarity rows; one
-    fixed-active-set refinement pass polishes the full-space KKT residual.
+    the matrices ``lhs`` was built from).  A primal active-set loop
+    (:func:`_active_set`, the policy :func:`solve_dense_qp` shares) starts
+    from ``warm_active``; where that set's point breaches a row, from the
+    controls clipped onto their bound rows, or, for rows that touch
+    states, from a phase-1 LP.  Each working set is one
+    refined banded KKT solve (:func:`_kkt_solve`), which gives the step
+    and its multipliers together.  Every iterate satisfies every row to
+    ``1e-9``.
 
     If ``lhs`` holds a map for this very ``data`` object, it is evaluated
     first: where its active set stays optimal that point is returned with
-    zero ``iterations``, otherwise the vector phase runs from the map's set.
-
-    The dense solve can stop at a non-optimal active set, warm-started or
-    cold; the refinement then pins that set and its step can breach the
-    inactive rows.  Whenever the refined step breaches rows by more than
-    ``1e-6``, the QP is solved again with the cached factor, warm-started
-    from the dense active set plus the breached rows (the dense solver
-    still drops any pinned row whose multiplier comes out negative).  This
-    repeats while it changes the warm set, at most ``n_h`` times.
+    zero ``iterations``, otherwise the loop starts from the map's set.
     """
     x = np.asarray(x, dtype=float)
     warm = warm_active
@@ -522,33 +559,19 @@ def condense_rhs_and_solve(
         if point is not None:
             return QpSolution(*point, fmap[2], 0)
         warm = fmap[2]
-    iterations = 0
-    for resolves in range(data.n_h + 1):
-        dw, lam, dense = _solve_vectors(
-            lhs, data.grad, data.eq_res, data.ineq_res, x, warm, max_iter
-        )
-        iterations += dense.iterations
-        dw, lam, mu = _refine_fixed_active(
-            lhs, data.grad, data.eq_res, data.ineq_res, x, dw, lam, dense.mu, dense.active_set
-        )
-        mu = np.maximum(mu, 0.0)
-        breached = np.flatnonzero(data.ineq_res + ineq_jac_product(lhs, dw) < -1e-6)
-        resolved = tuple(sorted(set(breached.tolist()).union(dense.active_set)))
-        if resolved in (dense.active_set, warm):
-            break
-        warm = resolved
-    return QpSolution(dw, lam, mu, dense.active_set, iterations, resolves)
+    dw, mu, active, lam, iterations, _ = _active_set(_FullSpace(lhs, data, x), warm, max_iter)
+    return QpSolution(dw, lam, mu, active, iterations)
 
 
 def condense_and_solve(data: OcpQpData, x, warm_active=None, max_iter=DEFAULT_QP_MAX_ITER):
-    """Monolithic condense-and-solve (both phases on fresh data)."""
+    """Monolithic solve: both phases on fresh data."""
     return condense_rhs_and_solve(
         condense_lhs(data), data, x, warm_active=warm_active, max_iter=max_iter
     )
 
 
 # ---------------------------------------------------------------------------
-# Dense primal active-set solver
+# Primal active-set method
 # ---------------------------------------------------------------------------
 
 
@@ -576,92 +599,90 @@ def _bound_structure(C):
     return cols, coefs
 
 
-def _eq_constrained_min(H, q, C_W, d_W):
-    """Minimize the QP objective subject to ``C_W x = d_W``.
+class _DenseSpace:
+    """``min 1/2 x'Hx + q'x s.t. Cx >= d`` for :func:`_active_set`."""
 
-    Rows touching a single variable pin it directly and the remaining
-    variables are solved by a reduced Cholesky; general rows fall back to
-    the full saddle-point solve.
-    """
-    t = C_W.shape[0]
-    if t == 0:
-        return -_cho_solve(_cho_factor(H), q)
-    n = H.shape[0]
-    bounds = _bound_structure(C_W)
-    if bounds is not None and len(set(bounds[0])) == t:
-        cols, coefs = bounds
-        x = np.zeros((n,) + q.shape[1:])
-        x[cols] = (d_W.T / coefs).T
-        free = np.ones(n, dtype=bool)
-        free[cols] = False
-        if free.any():
-            rhs = -(q[free] + H[np.ix_(free, ~free)] @ x[~free])
-            x[free] = _cho_solve(_cho_factor(H[np.ix_(free, free)]), rhs)
-        return x
-    K = np.zeros((n + t, n + t))
-    K[:n, :n] = H
-    K[:n, n:] = C_W.T
-    K[n:, :n] = C_W
-    rhs = np.concatenate([-q, d_W])
-    sol = np.linalg.solve(K, rhs)
-    return sol[:n]
+    lam = np.zeros(0)  # no equality rows
 
+    def __init__(self, H, q, C, d):
+        self.H, self.q, self.C, self.d = H, q, C, d
+        self.bounds = _bound_structure(C)
 
-def _feasible_start(H, q, C, d, feas_tol, chol=None):
-    """Cheap phase 1: clip single-variable rows, then pin violated rows.
+    def solve(self, W):
+        """Minimizer with the rows ``W`` as equalities, their multipliers, and
+        the (empty) equality multipliers."""
+        n, t = self.H.shape[0], len(W)
+        K = np.zeros((n + t, n + t))
+        K[:n, :n] = self.H
+        K[:n, n:] = -self.C[W].T
+        K[n:, :n] = self.C[W]
+        sol = np.linalg.solve(K, np.concatenate([-self.q, self.d[W]]))
+        return sol[:n], sol[n:], self.lam
 
-    Starts from the unconstrained minimizer.  Rows touching a single
-    variable are treated as bounds and enforced by clipping; remaining
-    violations are handled by repeatedly adding the most violated row as
-    an equality and re-minimizing.
-    """
-    n = H.shape[0]
-    m = C.shape[0]
-    x = -_cho_solve(chol if chol is not None else _cho_factor(H), q)
-    viol = d - C @ x
-    if np.max(viol) <= feas_tol:
+    def rows(self, x):
+        return self.C @ x
+
+    def grad(self, x):
+        return self.H @ x + self.q
+
+    def complete(self, x):
         return x
 
-    nonzeros = np.count_nonzero(C, axis=1)
-    if np.all(nonzeros == 1):
-        lb = np.full(n, -np.inf)
-        ub = np.full(n, np.inf)
-        for i in range(m):
-            j = int(np.flatnonzero(C[i])[0])
-            a = C[i, j]
-            if a > 0:
-                lb[j] = max(lb[j], d[i] / a)
-            else:
-                ub[j] = min(ub[j], d[i] / a)
+    def dense_rows(self):
+        n = self.H.shape[0]
+        return np.zeros((0, n)), np.zeros(0), self.C, self.d
+
+
+def _independent(space, W):
+    """Whether the rows ``W``, with the space's equality rows, are linearly independent."""
+    if space.bounds is not None:
+        return len(set(space.bounds[0][W].tolist())) == len(W)
+    E, _, C, _ = space.dense_rows()
+    rows = np.vstack([E, C[W]])
+    return np.linalg.matrix_rank(rows) == rows.shape[0]
+
+
+def _feasible_start(space, x, feas_tol):
+    """A feasible point and a working set of rows tight there.
+
+    Rows that each bound one variable are met by clipping ``x`` onto them
+    (the space then completes the point: the full space rolls its states
+    out), and the clipped rows form the working set.  Other rows get a
+    phase-1 LP and an empty working set.
+    """
+    d = space.d
+    if space.bounds is not None:
+        cols, coefs = space.bounds
+        limit = d / coefs
+        lb = np.full(x.shape[0], -np.inf)
+        ub = np.full(x.shape[0], np.inf)
+        np.maximum.at(lb, cols[coefs > 0], limit[coefs > 0])
+        np.minimum.at(ub, cols[coefs < 0], limit[coefs < 0])
         if np.any(lb > ub + feas_tol):
-            bad = np.flatnonzero(d - C @ np.clip(x, np.minimum(lb, ub), np.maximum(lb, ub)) > feas_tol)
-            raise QpInfeasibleError("contradictory bounds", violated=bad)
-        return np.clip(x, lb, ub)
-
-    W = []
-    for _ in range(n + m):
-        viol = d - C @ x
-        worst = int(np.argmax(viol))
-        if viol[worst] <= feas_tol:
-            return x
-        if worst in W or len(W) >= n or np.linalg.matrix_rank(C[W + [worst]]) < len(W) + 1:
-            break
-        W = W + [worst]
-        x = _eq_constrained_min(H, q, C[W], d[W])
-    # greedy pinning stalled on general rows: solve a phase-1 LP instead
-    return _phase1_lp(C, d, feas_tol)
+            clipped = space.complete(np.clip(x, np.minimum(lb, ub), np.maximum(lb, ub)))
+            raise QpInfeasibleError(
+                "contradictory bounds", violated=np.flatnonzero(d - space.rows(clipped) > feas_tol)
+            )
+        x = space.complete(np.clip(x, lb, ub))
+        tight = np.flatnonzero(space.rows(x) - d <= feas_tol)
+        _, first = np.unique(cols[tight], return_index=True)
+        return x, sorted(tight[first].tolist())
+    return _phase1_lp(*space.dense_rows(), feas_tol), []
 
 
-def _phase1_lp(C, d, feas_tol):
-    """Minimal-violation LP: min s subject to Cx + s >= d, s >= 0."""
+def _phase1_lp(E, e, C, d, feas_tol):
+    """Minimal-violation LP: min s subject to Cx + s >= d, Ex = e, s >= 0."""
     from scipy.optimize import linprog
 
     m, n = C.shape
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
     A_ub = np.hstack([-C, -np.ones((m, 1))])
+    eq = {}
+    if E.shape[0]:
+        eq = dict(A_eq=np.hstack([E, np.zeros((E.shape[0], 1))]), b_eq=e)
     bounds = [(None, None)] * n + [(0.0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=-d, bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=A_ub, b_ub=-d, bounds=bounds, method="highs", **eq)
     if not res.success or res.x[-1] > feas_tol:
         viol = d - C @ res.x[:n] if res.success else np.arange(m)
         raise QpInfeasibleError(
@@ -671,6 +692,77 @@ def _phase1_lp(C, d, feas_tol):
     return res.x[:n]
 
 
+def _active_set(space, warm_active, max_iter, feas_tol=FEAS_TOL):
+    """Primal active-set method on ``space``; the one copy of the QP policy.
+
+    ``space`` solves the QP with a working set of rows held as equalities,
+    returning the minimizer, the set's multipliers and the equality
+    multipliers, and evaluates the rows ``C x >= d``.  The loop starts from
+    ``warm_active`` if its rows are independent and its point is feasible,
+    else from :func:`_feasible_start`.  A step to the working set's
+    minimizer is cut by the first row it would breach (Bland style:
+    smallest row index on ties), which joins the set; at a minimizer the
+    most negative multiplier below ``-(1e-9 + 100 eps |grad|)`` leaves the
+    set (smallest row index on ties), otherwise the point is optimal.
+    Every iterate satisfies every row to ``feas_tol``.
+
+    Returns ``(x, mu, active_set, lam, iterations, changes)``.
+    """
+    d = space.d
+    m = d.shape[0]
+    W = sorted({int(i) for i in warm_active or ()})
+    if W and not (m and _independent(space, W)):
+        W = []
+    try:
+        point = space.solve(W)
+    except (np.linalg.LinAlgError, QpSolverError):
+        W = []
+        point = space.solve(W)
+    x = point[0]
+    if m and np.max(d - space.rows(x)) > feas_tol:
+        x, W = _feasible_start(space, x, feas_tol)
+        point = space.solve(W)
+    in_W = np.zeros(m, dtype=bool)
+    in_W[W] = True
+    changes = 0
+    for it in range(1, max_iter + 1):
+        x_W, mu_W, lam = point
+        p = x_W - x
+        # ratio test over rows that the step drives toward their bound
+        Cp = space.rows(p)
+        mask = (~in_W) & (Cp < -1e-12)
+        blocker = -1
+        if mask.any():
+            slack = np.maximum(space.rows(x)[mask] - d[mask], 0.0)
+            ratios = slack / (-Cp[mask])
+            amin = ratios.min()
+            if amin < 1.0:
+                rows = np.flatnonzero(mask)
+                blocker = int(rows[ratios <= amin + 1e-12].min())
+        if blocker >= 0:
+            x = x + max(amin, 0.0) * p
+            W.append(blocker)
+            in_W[blocker] = True
+        else:
+            x = x_W
+            if not W:
+                return x, np.zeros(m), (), lam, it, changes
+            # negative multipliers below the attainable accuracy are noise;
+            # anything clearly beyond that scale must be dropped
+            mu_tol = 1e-9 + 100.0 * np.finfo(float).eps * np.max(np.abs(space.grad(x)))
+            if np.min(mu_W) >= -mu_tol:
+                mu = np.zeros(m)
+                mu[W] = np.maximum(mu_W, 0.0)
+                return x, mu, tuple(sorted(W)), lam, it, changes
+            worst = np.min(mu_W)
+            drop = min(W[i] for i in range(len(W)) if mu_W[i] <= worst + 1e-12)
+            W.remove(drop)
+            in_W[drop] = False
+        changes += 1
+        point = space.solve(W)
+    raise QpSolverError(f"active-set iteration cap ({max_iter}) exceeded")
+
+
 def solve_dense_qp(
     H,
     q,
@@ -678,127 +770,26 @@ def solve_dense_qp(
     d=None,
     warm_active=None,
     max_iter=DEFAULT_QP_MAX_ITER,
-    feas_tol=1e-9,
-    chol=None,
+    feas_tol=FEAS_TOL,
 ) -> DenseQpResult:
     """Primal active-set method for ``min 1/2 x'Hx + q'x s.t. Cx >= d``.
 
-    ``H`` must be symmetric positive definite (``chol`` may pass a cached
-    Cholesky factor of it).  Constraint rows touching a single variable
-    are handled as bounds with reduced solves; general working sets use a
-    null-space basis.  Ties in the blocking and removal choices are broken
-    by smallest row index (Bland style) to guard against cycling.
-    ``warm_active`` seeds the working set, which lets an identical
-    re-solve terminate without active-set changes.
+    ``H`` must be symmetric positive definite.  Each working set is solved
+    through its saddle-point system.  ``warm_active`` seeds the working set, which lets an identical re-solve
+    terminate without active-set changes.  The loop is :func:`_active_set`,
+    shared with the structured QP's vector phase.
     """
     H = np.asarray(H, dtype=float)
     q = np.asarray(q, dtype=float)
     n = H.shape[0]
-    if chol is None:
-        chol = cho_factor(H)
+    np.linalg.cholesky(H)  # raises LinAlgError unless H is positive definite
     if not np.all(np.isfinite(q)):
         raise QpSolverError("QP gradient is not finite")
-    if C is None or C.shape[0] == 0:
-        x = -_cho_solve(chol, q)
-        return DenseQpResult(x, np.zeros(0), (), 1, 0)
-    C = np.asarray(C, dtype=float)
-    d = np.asarray(d, dtype=float)
+    C = np.zeros((0, n)) if C is None else np.asarray(C, dtype=float)
+    d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise QpSolverError("QP constraint bounds are not finite")
-    m = C.shape[0]
-
-    bounds = _bound_structure(C)
-    W = []
-    in_W = np.zeros(m, dtype=bool)
-    x = None
-    if warm_active is not None:
-        cand = sorted(int(i) for i in warm_active)
-        ok = bool(cand) and len(cand) <= n
-        if ok:
-            if bounds is not None:
-                ok = len(set(bounds[0][cand])) == len(cand)
-            else:
-                ok = np.linalg.matrix_rank(C[cand]) == len(cand)
-        if ok:
-            try:
-                x_try = _eq_constrained_min(H, q, C[cand], d[cand])
-            except np.linalg.LinAlgError:
-                x_try = None
-            if x_try is not None and np.max(d - C @ x_try) <= feas_tol:
-                x = x_try
-                W = cand
-                in_W[W] = True
-        elif not cand:
-            x_try = -_cho_solve(chol, q)
-            if np.max(d - C @ x_try) <= feas_tol:
-                x = x_try
-    if x is None:
-        x = _feasible_start(H, q, C, d, feas_tol, chol=chol)
-        W = []
-        in_W[:] = False
-
-    changes = 0
-    for it in range(1, max_iter + 1):
-        grad = H @ x + q
-        # attainable gradient accuracy: roundoff of H@x + q sets the floor
-        # below which predicted progress is numerical noise
-        grad_noise = 1e-14 * (np.abs(H) @ np.abs(x) + np.abs(q) + 1.0)
-        if not W:
-            p = -_cho_solve(chol, grad)
-        elif bounds is not None:
-            pinned = bounds[0][W]
-            free = np.ones(n, dtype=bool)
-            free[pinned] = False
-            p = np.zeros(n)
-            if free.any():
-                p[free] = -_cho_solve(_cho_factor(H[np.ix_(free, free)]), grad[free])
-        else:
-            Z = null_space(C[W])
-            if Z.shape[1] == 0:
-                p = np.zeros(n)
-            else:
-                red = Z.T @ H @ Z
-                p = Z @ np.linalg.solve(red, -(Z.T @ grad))
-
-        pred_decrease = -(grad @ p + 0.5 * p @ (H @ p))
-        if pred_decrease <= np.abs(p) @ grad_noise:
-            if not W:
-                return DenseQpResult(x, np.zeros(m), (), it, changes)
-            if bounds is not None:
-                mu_W = grad[bounds[0][W]] / bounds[1][W]
-            else:
-                mu_W, *_ = np.linalg.lstsq(C[W].T, grad, rcond=None)
-            # negative multipliers below the attainable accuracy are noise;
-            # anything clearly beyond that scale must be dropped
-            mu_tol = 1e-9 + 100.0 * np.finfo(float).eps * np.max(np.abs(grad))
-            if np.min(mu_W) >= -mu_tol:
-                mu = np.zeros(m)
-                mu[W] = np.maximum(mu_W, 0.0)
-                return DenseQpResult(x, mu, tuple(sorted(W)), it, changes)
-            # drop the most negative multiplier, smallest row index on ties
-            worst = np.min(mu_W)
-            drop = min(W[i] for i in range(len(W)) if mu_W[i] <= worst + 1e-12)
-            W.remove(drop)
-            in_W[drop] = False
-            changes += 1
-            continue
-
-        # ratio test over rows that the step drives toward their bound
-        Cp = C @ p
-        mask = (~in_W) & (Cp < -1e-12)
-        alpha = 1.0
-        blocker = -1
-        if mask.any():
-            slack = np.maximum(C[mask] @ x - d[mask], 0.0)
-            ratios = slack / (-Cp[mask])
-            amin = ratios.min()
-            if amin < 1.0:
-                alpha = max(amin, 0.0)
-                rows = np.flatnonzero(mask)
-                blocker = int(rows[ratios <= amin + 1e-12].min())
-        x = x + alpha * p
-        if blocker >= 0:
-            W.append(blocker)
-            in_W[blocker] = True
-            changes += 1
-    raise QpSolverError(f"active-set iteration cap ({max_iter}) exceeded")
+    x, mu, active, _, it, changes = _active_set(
+        _DenseSpace(H, q, C, d), warm_active, max_iter, feas_tol
+    )
+    return DenseQpResult(x, mu, active, it, changes)

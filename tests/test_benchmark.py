@@ -14,7 +14,6 @@ from asrti.benchmark import (
     PendulumParams,
     ScenarioConfig,
     build_pendulum_ocp,
-    dare_residual,
     dare_terminal_cost,
     draw_scenario,
     pendulum_model,
@@ -29,6 +28,13 @@ from asrti.benchmark.runner import AlgorithmRow, BenchmarkResult, _run_one_scena
 from asrti.controller import ControllerConfig
 from asrti.integrators import radau3_step
 from asrti.nlp import transcribe
+
+
+def dare_residual(P, A, B, Q, R):
+    """Infinity norm of the discrete algebraic Riccati equation residual."""
+    BtP = B.T @ P
+    step = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R + BtP @ B, BtP @ A)
+    return float(np.max(np.abs(step - P)))
 
 
 class TestPendulumModel:

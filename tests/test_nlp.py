@@ -16,9 +16,13 @@ from asrti.nlp import (
     control_bounds,
     eval_kkt,
     kkt_vectors,
-    lagrange_gradient,
     transcribe,
 )
+
+
+def lagrange_gradient(nlp, z, x=None):
+    """Gradient of the Lagrangian with respect to the primal variables."""
+    return kkt_vectors(nlp, z, np.zeros(nlp.n_x) if x is None else x)[0]
 
 
 def linear_model(A, B):

@@ -15,10 +15,9 @@ from asrti.benchmark import (
 )
 from asrti.controller import AsRtiController, ControllerConfig, predict_state
 from asrti.integrators import simulate_plant
-from asrti.mli import level_b, level_c, prepare_linearization
+from asrti.mli import level_b, level_c, prepare_linearization, sqp_solve
 from asrti.nlp import transcribe
 from asrti.qp import (
-    DenseQpResult,
     OcpQpData,
     QpInfeasibleError,
     QpSolverError,
@@ -26,7 +25,6 @@ from asrti.qp import (
     condense_and_solve,
     condense_lhs,
     condense_rhs_and_solve,
-    eq_jac_product,
     eq_jac_t_product,
     hess_product,
     ineq_jac_product,
@@ -169,21 +167,69 @@ def full_space_kkt_residual(data, x, sol):
     return max(res)
 
 
-def solve_full_kkt(data, x):
-    """Equality-only oracle: one dense factorization of the full KKT system."""
-    assert data.n_h == 0
-    A, _ = dense_blocks(data)
+def assert_kkt_point(data, x, sol):
+    """The step satisfies every row to 1e-9 with multipliers >= 0, and
+    stationarity, the equality rows and complementarity to 1e-8."""
+    A, H = dense_blocks(data)
     G = dense_eq_jacobian(data)
-    n_w, n_g = data.n_w, data.n_g
-    K = np.zeros((n_w + n_g, n_w + n_g))
-    K[:n_w, :n_w] = A
-    K[:n_w, n_w:] = -G.T
-    K[n_w:, :n_w] = G
     eq = data.eq_res.copy()
     eq[: data.n_x] -= x
-    rhs = np.concatenate([-data.grad, -eq])
+    slack = data.ineq_res + H @ sol.dw
+    assert np.min(slack, initial=0.0) >= -1e-9
+    assert np.min(sol.mu, initial=0.0) >= 0.0
+    assert np.max(np.abs(data.grad + A @ sol.dw - G.T @ sol.lam - H.T @ sol.mu)) < 1e-8
+    assert np.max(np.abs(eq + G @ sol.dw)) < 1e-8
+    assert np.max(np.abs(sol.mu * slack), initial=0.0) < 1e-8
+
+
+def dense_kkt(data, x, active):
+    """Oracle: the full-space KKT matrix and right-hand side with the rows
+    ``active`` held, unknowns ordered ``(dw, lam, mu_active)``."""
+    A, H = dense_blocks(data)
+    G = dense_eq_jacobian(data)
+    H_W = H[list(active)]
+    n_w, n_g, t = data.n_w, data.n_g, len(active)
+    K = np.zeros((n_w + n_g + t, n_w + n_g + t))
+    K[:n_w, :n_w] = A
+    K[:n_w, n_w : n_w + n_g] = -G.T
+    K[:n_w, n_w + n_g :] = -H_W.T
+    K[n_w : n_w + n_g, :n_w] = -G
+    K[n_w + n_g :, :n_w] = -H_W
+    eq = data.eq_res.copy()
+    eq[: data.n_x] -= x
+    rhs = np.concatenate([-data.grad, eq, data.ineq_res[list(active)]])
+    return K, rhs
+
+
+def solve_dense_kkt(data, x, active):
+    """Oracle ``(dw, lam, mu)``: one dense solve of the fixed-active-set KKT system."""
+    K, rhs = dense_kkt(data, x, active)
     sol = np.linalg.solve(K, rhs)
-    return sol[:n_w], sol[n_w:]
+    mu = np.zeros(data.n_h)
+    mu[list(active)] = sol[data.n_w + data.n_g :]
+    return sol[: data.n_w], sol[data.n_w : data.n_w + data.n_g], mu
+
+
+def band_as_dense(lhs):
+    """The band of ``lhs`` (every inequality row active) as a dense matrix,
+    unknowns ordered ``(dw, lam, mu)``."""
+    layout = lhs.layout
+    n, bw = layout.n, layout.bw
+    K = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - bw), min(n, j + bw + 1)):
+            K[i, j] = lhs.band[j, 2 * bw + i - j]
+    order = np.concatenate([layout.w_pos, layout.g_pos, layout.h_pos])
+    return K[np.ix_(order, order)]
+
+
+def relative_error(sol, ref):
+    """Largest error of ``(dw, lam, mu)`` against the oracle's, each relative
+    to the oracle's largest entry of that vector."""
+    return max(
+        np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300) if b.size else 0.0
+        for a, b in zip(sol, ref)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +319,9 @@ class TestDenseQp:
 
 class TestCondensing:
     def test_hand_condensed_hessian_single_stage(self):
-        # N=1, scalar, dynamics s1 = u0, identity cost blocks: the condensed
-        # Hessian carries the cost on u0 and on s1 = u0.
+        # N=1, scalar, dynamics s1 = u0, identity cost blocks and gradient 1
+        # on u0: min u0^2 + u0 over u0 = s1 gives u0 = s1 = -1/2, and
+        # stationarity gives lam1 = -s1 and lam0 = s0 = x.
         data = OcpQpData(
             N=1,
             n_x=1,
@@ -284,44 +331,48 @@ class TestCondensing:
             phi_u=np.ones((1, 1, 1)),
             ineq_stage_blocks=[np.zeros((0, 2))],
             ineq_term_block=np.zeros((0, 1)),
-            grad=np.zeros(3),
+            grad=np.array([0.0, 1.0, 0.0]),
             eq_res=np.zeros(2),
             ineq_res=np.zeros(0),
         )
         lhs = condense_lhs(data)
-        assert lhs.hess.shape == (1, 1)
-        assert lhs.hess[0, 0] == pytest.approx(2.0, abs=1e-14)
+        # unknowns (s0, u0, s1, lam0, lam1): [[A, -G'], [-G, 0]]
+        hand = np.array([
+            [1.0, 0.0, 0.0, -1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0, -1.0],
+            [0.0, 0.0, 1.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, -1.0, 1.0, 0.0, 0.0],
+        ])
+        assert lhs.layout.bw == 2
+        assert np.array_equal(band_as_dense(lhs), hand)
+        sol = condense_rhs_and_solve(lhs, data, np.array([0.3]))
+        assert np.max(np.abs(sol.dw - [0.3, -0.5, -0.5])) < 1e-15
+        assert np.max(np.abs(sol.lam - [0.3, 0.5])) < 1e-15
 
     def test_empty_inequalities_give_zero_rows(self):
         rng = np.random.default_rng(1)
         data = random_ocp_qp(rng, 3, 2, 1, n_bounds=False)
         lhs = condense_lhs(data)
-        assert lhs.ineq.shape == (0, 3)
+        assert lhs.layout.h_pos.shape == (0,)
+        assert lhs.layout.n == data.n_w + data.n_g
+        assert lhs.bounds is None
 
     def test_condensed_hessian_equals_schur_complement_oracle(self):
+        # the band holds the dense full-space KKT matrix entry for entry,
+        # and its refined solve matches a dense solve of that matrix
         rng = np.random.default_rng(2)
         for _ in range(10):
             N = int(rng.integers(1, 5))
-            data = random_ocp_qp(rng, N, 3, 2, n_bounds=False)
+            data = random_ocp_qp(rng, N, 3, 2)
             lhs = condense_lhs(data)
-            A, _ = dense_blocks(data)
-            # brute-force elimination: basis of primal steps satisfying the
-            # homogeneous equality rows, parameterized by the controls
-            T_ref = np.zeros((data.n_w, N * 2))
-            stride = 5
-            for j in range(N * 2):
-                du = np.zeros(N * 2)
-                du[j] = 1.0
-                ds = np.zeros(3)
-                col = np.zeros(data.n_w)
-                for k in range(N):
-                    col[k * stride : k * stride + 3] = ds
-                    col[k * stride + 3 : (k + 1) * stride] = du[2 * k : 2 * k + 2]
-                    ds = data.phi_x[k] @ ds + data.phi_u[k] @ du[2 * k : 2 * k + 2]
-                col[N * stride :] = ds
-                T_ref[:, j] = col
-            H_ref = T_ref.T @ A @ T_ref
-            assert np.max(np.abs(lhs.hess - H_ref)) < 1e-10
+            K, _ = dense_kkt(data, np.zeros(3), range(data.n_h))
+            assert lhs.layout.bw == 2 * 3 + 2 + 4 - 1
+            assert np.array_equal(band_as_dense(lhs), K)
+            x = rng.normal(size=3)
+            sol = condense_rhs_and_solve(lhs, data, x)
+            ref = solve_dense_kkt(data, x, sol.active_set)
+            assert relative_error((sol.dw, sol.lam, sol.mu), ref) < 1e-12
 
     def test_zero_vectors_and_matching_parameter_give_zero_step(self):
         rng = np.random.default_rng(4)
@@ -343,7 +394,7 @@ class TestCondensing:
             data = random_ocp_qp(rng, N, n_x, n_u, n_bounds=False)
             x = rng.normal(size=n_x)
             sol = condense_and_solve(data, x)
-            dw_ref, lam_ref = solve_full_kkt(data, x)
+            dw_ref, lam_ref, _ = solve_dense_kkt(data, x, ())
             assert np.max(np.abs(sol.dw - dw_ref)) < 1e-8
             assert np.max(np.abs(sol.lam - lam_ref)) < 1e-8
 
@@ -389,57 +440,6 @@ class TestCondensing:
             assert abs(hval[i]) < 1e-8
             assert abs(sol.mu[i] * hval[i]) < 1e-10
 
-    def test_breached_cold_solve_is_resolved_with_breached_rows_pinned(self, monkeypatch):
-        import asrti.qp as qp_mod
-
-        nlp = transcribe(build_pendulum_ocp())
-        x = np.array([0.0, 0.3, 4.0, -3.0])  # excited enough to saturate u
-        data = build_qp_data(nlp, nlp.cold_start(x).w)
-        lhs = condense_lhs(data)
-        real = qp_mod.solve_dense_qp
-        calls = []
-
-        def stops_early_once(H, q, C, d, warm_active=None, **kwargs):
-            # the first solve returns the unconstrained minimizer, as a
-            # dense solve that stopped at an empty active set would
-            calls.append(warm_active)
-            if len(calls) == 1:
-                x_free = -np.linalg.solve(H, q)
-                return DenseQpResult(x_free, np.zeros(C.shape[0]), (), 3, 0)
-            return real(H, q, C, d, warm_active=warm_active, **kwargs)
-
-        monkeypatch.setattr(qp_mod, "solve_dense_qp", stops_early_once)
-        sol = condense_rhs_and_solve(lhs, data, x, warm_active=None)
-        assert calls[0] is None and len(calls) == 2
-        assert len(calls[1]) > 0  # the breached rows seed the re-solve
-        assert sol.resolves == 1
-        assert np.min(data.ineq_res + ineq_jac_product(data, sol.dw)) >= -1e-6
-        assert sol.iterations > 3  # summed over both dense solves
-        monkeypatch.setattr(qp_mod, "solve_dense_qp", real)
-        clean = condense_rhs_and_solve(lhs, data, x, warm_active=None)
-        assert clean.resolves == 0
-        assert np.max(np.abs(sol.dw - clean.dw)) < 1e-6
-
-    def test_resolves_stop_when_the_warm_set_repeats(self, monkeypatch):
-        # the dense solver may drop a pinned breached row again and again
-        # (an ill-conditioned condensed multiplier); re-solving from the
-        # same warm set cannot change the result
-        import asrti.qp as qp_mod
-
-        nlp = transcribe(build_pendulum_ocp())
-        x = np.array([0.0, 0.3, 4.0, -3.0])  # excited enough to saturate u
-        data = build_qp_data(nlp, nlp.cold_start(x).w)
-        calls = []
-
-        def always_unconstrained(H, q, C, d, warm_active=None, **kwargs):
-            calls.append(warm_active)
-            return DenseQpResult(-np.linalg.solve(H, q), np.zeros(C.shape[0]), (), 1, 0)
-
-        monkeypatch.setattr(qp_mod, "solve_dense_qp", always_unconstrained)
-        sol = condense_rhs_and_solve(condense_lhs(data), data, x)
-        assert len(calls) == 2 and calls[0] is None and len(calls[1]) > 0
-        assert (sol.resolves, sol.iterations) == (1, 2)
-
     def test_structured_products_match_dense(self):
         rng = np.random.default_rng(13)
         data = random_ocp_qp(rng, 4, 3, 2)
@@ -449,7 +449,6 @@ class TestCondensing:
         lam = rng.normal(size=data.n_g)
         mu = rng.normal(size=data.n_h)
         assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
-        assert np.allclose(eq_jac_product(data.phi_x, data.phi_u, v), G @ v)
         assert np.allclose(ineq_jac_t_product(data, mu), H.T @ mu)
         assert np.allclose(ineq_jac_product(data, v), H @ v)
         assert np.allclose(hess_product(condense_lhs(data), v), A @ v)
@@ -480,13 +479,88 @@ class TestCondensing:
             v = rng.normal(size=(data.n_w,) + cols)
             lam = rng.normal(size=(data.n_g,) + cols)
             mu = rng.normal(size=(data.n_h,) + cols)
-            assert np.allclose(eq_jac_product(data.phi_x, data.phi_u, v), G @ v)
             assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
             for rows in (data, lhs):
                 assert np.allclose(ineq_jac_product(rows, v), H @ v)
                 assert np.allclose(ineq_jac_t_product(rows, mu), H.T @ mu)
             assert np.allclose(hess_product(lhs, v), A @ v)
-        assert np.allclose(lhs.ineq, H @ lhs.T)
+        # stage rows touching states and terminal rows sit in the band too
+        K, _ = dense_kkt(data, np.zeros(n_x), range(data.n_h))
+        assert np.array_equal(band_as_dense(lhs), K)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 5),
+        n_x=st.integers(1, 3),
+        n_u=st.integers(1, 2),
+        tight=st.floats(0.02, 1.0),
+    )
+    def test_every_step_satisfies_its_rows_cold_and_warm(self, seed, N, n_x, n_u, tight):
+        # criterion-2-style QPs with control bounds, scaled toward activity
+        rng = np.random.default_rng(seed)
+        data = random_ocp_qp(rng, N, n_x, n_u)
+        data.ineq_res = tight * data.ineq_res
+        x = rng.normal(size=n_x)
+        lhs = condense_lhs(data)
+        warm = tuple(np.flatnonzero(rng.random(data.n_h) < 0.3).tolist())
+        for start in (None, warm):
+            assert_kkt_point(data, x, condense_rhs_and_solve(lhs, data, x, warm_active=start))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 4),
+        n_x=st.integers(1, 3),
+        m=st.integers(1, 3),
+        m_T=st.integers(0, 2),
+        margin=st.floats(0.0, 1.0),
+    )
+    def test_rows_on_states_and_terminal_rows_are_solved(self, seed, N, n_x, m, m_T, margin):
+        # general stage rows that read states, and terminal rows, around a
+        # known feasible point; cold solves start from greedy pinning or a
+        # phase-1 LP, warm ones from the cold solve's set
+        rng = np.random.default_rng(seed)
+        data = random_ocp_qp(rng, N, n_x, 1, n_bounds=False)
+        data.ineq_stage_blocks = rng.normal(size=(N, m, n_x + 1))
+        data.ineq_term_block = rng.normal(size=(m_T, n_x))
+        x = rng.normal(size=n_x)
+        shifted = data.eq_res.copy()
+        shifted[:n_x] -= x
+        G = dense_eq_jacobian(data)
+        feasible = np.linalg.lstsq(G, -shifted, rcond=None)[0]
+        margins = margin * rng.uniform(0.0, 1.0, size=N * m + m_T)
+        data.ineq_res = margins - ineq_jac_product(data, feasible)
+        cold = condense_and_solve(data, x)
+        assert_kkt_point(data, x, cold)
+        assert_kkt_point(data, x, condense_and_solve(data, x, warm_active=cold.active_set))
+
+    @pytest.mark.parametrize("N", [20, 80])
+    def test_converged_sqp_steps_meet_the_dynamics_to_their_own_scale(self, monkeypatch, N):
+        # near an SQP solution both the shooting gaps and G dw are tiny, so the
+        # equality residual must be small against them, not only against the
+        # multipliers; an unrefined banded solve reads about 1 here
+        import asrti.mli as mli_mod
+
+        nlp = transcribe(build_pendulum_ocp(n_intervals=N))
+        x = np.array([0.1, 0.15, 0.0, 0.3])
+        z = sqp_solve(nlp, x, nlp.cold_start(x), tol=1e-8, max_iter=20).iterate
+        qps = []
+        solve = mli_mod.condense_rhs_and_solve
+
+        def captured(lhs, data, x_qp, **kwargs):
+            sol = solve(lhs, data, x_qp, **kwargs)
+            qps.append((data, x_qp, sol))
+            return sol
+
+        monkeypatch.setattr(mli_mod, "condense_rhs_and_solve", captured)
+        assert sqp_solve(nlp, x + 1e-3, z, tol=1e-10, max_iter=20).converged
+        for data, x_qp, sol in qps:
+            eq = data.eq_res.copy()
+            eq[: data.n_x] -= x_qp
+            G_dw = dense_eq_jacobian(data) @ sol.dw
+            scale = max(np.max(np.abs(eq)), np.max(np.abs(G_dw)))
+            assert np.max(np.abs(eq + G_dw)) <= 1e-6 * scale
 
     def test_asymmetric_hessian_block_rejected(self):
         rng = np.random.default_rng(15)
@@ -527,8 +601,8 @@ class TestFeedbackMap:
     @pytest.mark.parametrize("N", [20, 80])
     def test_hits_are_no_less_accurate_than_the_vector_phase(self, monkeypatch, N):
         # every map hit of a closed loop against the map-free vector phase
-        # on the same QP and state: each is accurate to condensing's
-        # roundoff, so compare the worst and the typical residual
+        # on the same QP and state: both reach the full-space KKT conditions
+        # to roundoff
         import asrti.controller as ctrl_mod
 
         pairs = []
@@ -552,8 +626,26 @@ class TestFeedbackMap:
         )
         hit, plain = np.array(pairs).T
         assert len(pairs) > 70
-        assert hit.max() <= plain.max()
-        assert np.median(hit / plain) <= 1.0
+        assert max(hit.max(), plain.max()) < 1e-11
+
+    def test_vector_phase_and_map_match_the_dense_kkt_oracle(self, loop_qp):
+        # a closed-loop linearization, once with no bound active and once
+        # after a 60 N kick with one active; the map is built at a nearby state
+        _, _, prep, x_pred, x, x_kick = loop_qp
+        lhs, data = prep.lhs, prep.data
+        sets = []
+        for at, x_eval in ((x_pred, x), (x_kick, 0.9 * x_kick + 0.1 * x)):
+            lhs.feedback_map = None
+            sol = condense_rhs_and_solve(lhs, data, x_eval)
+            prepare_feedback_map(lhs, data, at, warm_active=sol.active_set)
+            hit = condense_rhs_and_solve(lhs, data, x_eval)
+            lhs.feedback_map = None
+            assert (hit.iterations, hit.active_set) == (0, sol.active_set)
+            ref = solve_dense_kkt(data, x_eval, sol.active_set)
+            for s in (sol, hit):
+                assert relative_error((s.dw, s.lam, s.mu), ref) < 1e-10
+            sets.append(sol.active_set)
+        assert sets[0] == () and len(sets[1]) == 1
 
     def test_miss_after_a_kick_returns_the_vector_phase(self, loop_qp):
         _, _, prep, x_pred, _, x_kick = loop_qp
@@ -566,9 +658,7 @@ class TestFeedbackMap:
         assert miss.iterations > 0
         for field in ("dw", "lam", "mu"):
             assert np.array_equal(getattr(miss, field), getattr(plain, field))
-        assert (miss.active_set, miss.iterations, miss.resolves) == (
-            plain.active_set, plain.iterations, plain.resolves,
-        )
+        assert (miss.active_set, miss.iterations) == (plain.active_set, plain.iterations)
 
     @pytest.mark.parametrize("level", [level_b, level_c])
     def test_levels_b_and_c_are_unchanged_by_a_map(self, loop_qp, level):
