@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from ..integrators import OdeModel, radau3_step
 from ..nlp import OcpSpec, QuadraticStageCost, QuadraticTerminalCost, control_bounds
@@ -99,26 +100,10 @@ def pendulum_model(params: PendulumParams = None) -> OdeModel:
     return OdeModel(n_x=4, n_u=1, rhs=rhs, jac_x=jac_x, jac_u=jac_u)
 
 
-def dare_terminal_cost(A, B, Q, R, tol=1e-10, max_iter=10_000):
-    """Solve the DARE by fixed-point iteration of the Riccati map.
-
-    Iterates ``P <- Q + A'PA - A'PB (R + B'PB)^-1 B'PA`` from ``P = Q``
-    until successive iterates agree to ``tol`` in infinity norm.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = Q.copy()
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        P_next = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R + BtP @ B, BtP @ A)
-        if np.max(np.abs(P_next - P)) <= tol:
-            P = P_next
-            break
-        P = P_next
-    else:
-        raise RuntimeError(f"Riccati iteration did not converge within {max_iter} steps")
+def dare_terminal_cost(A, B, Q, R):
+    """The stabilizing solution ``P`` of the DARE
+    ``P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA``, symmetrized."""
+    P = solve_discrete_are(A, B, Q, np.atleast_2d(R))
     return 0.5 * (P + P.T)
 
 

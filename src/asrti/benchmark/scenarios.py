@@ -111,7 +111,6 @@ def run_scenario(
     config: ControllerConfig,
     realization: ScenarioRealization,
     scenario_cfg: ScenarioConfig,
-    stage_weights=None,
     collect_traces=False,
     collect_kkt_metrics=True,
 ):
@@ -128,10 +127,7 @@ def run_scenario(
     controller = AsRtiController(nlp, config, collect_traces=collect_traces)
     dt = scenario_cfg.sampling_time
     n_cycles = scenario_cfg.n_cycles
-    if stage_weights is None:
-        Q, R = spec.stage_costs[0].Q, spec.stage_costs[0].R
-    else:
-        Q, R = stage_weights
+    Q, R = spec.stage_costs[0].Q, spec.stage_costs[0].R
 
     x = realization.x0.copy()
     states = np.empty((n_cycles + 1, plant.n_x))

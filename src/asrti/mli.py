@@ -33,7 +33,6 @@ from .qp import (
     condense_rhs_and_solve,
     eq_jac_t_product,
     hess_product,
-    ineq_jac_t_product,
 )
 
 __all__ = [
@@ -198,13 +197,12 @@ def level_c(
 
     def qp_at(z):
         data = build_qp_data(nlp, z.w)
+        # the inequality rows are constant in OcpNlp, so only G' lam differs
         a = (
             data.grad
             + eq_jac_t_product(ref.phi_x, ref.phi_u, z.lam)
             - eq_jac_t_product(data.phi_x, data.phi_u, z.lam)
         )
-        if data.n_h:
-            a = a + ineq_jac_t_product(ref, z.mu) - ineq_jac_t_product(data, z.mu)
         return prep.lhs, replace(ref, grad=a, eq_res=data.eq_res, ineq_res=data.ineq_res)
 
     return _inner_iterations(nlp, x_pred, z_start, n_iters, warm_active, trace, qp_at)
@@ -257,16 +255,14 @@ def beta_vector(prep: PreparedLinearization, z_b: Iterate, nlp: OcpNlp):
     ``beta`` equals minus the true Lagrange gradient there.
     """
     data_b = build_qp_data(nlp, z_b.w)
-    beta = (
+    # the inequality rows are constant in OcpNlp, so only G' lam differs
+    return (
         prep.data.grad
         + hess_product(prep.lhs, z_b.w - prep.ref.w)
         - data_b.grad
         + eq_jac_t_product(data_b.phi_x, data_b.phi_u, z_b.lam)
         - eq_jac_t_product(prep.data.phi_x, prep.data.phi_u, z_b.lam)
     )
-    if data_b.n_h:
-        beta = beta + ineq_jac_t_product(data_b, z_b.mu) - ineq_jac_t_product(prep.data, z_b.mu)
-    return beta
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@ it is banded, with half-bandwidth ``2 n_x + n_u + m - 1`` for ``m`` rows per
 stage.  An inactive row stays in place as the identity row ``mu_i = 0``, so
 the band's pattern never changes.  The matrix phase (:func:`condense_lhs`)
 fills LAPACK band storage from the stage blocks; the vector phase
-(:func:`condense_rhs_and_solve`) runs a primal active-set loop whose every
-working set is one banded LU (``dgbtrf``, the last one cached) and one
-``dgbtrs`` solve, refined once with the same factors.  The refinement
-brings every KKT row to the roundoff of its own terms, so a returned step
-meets the dynamics, the held rows and stationarity each to its own scale.
+(:func:`condense_rhs_and_solve`) runs a dual active-set loop (Goldfarb &
+Idnani, *Math. Programming* 27, 1983): it starts at the minimizer with the
+warm working set held, which need not be feasible, and adds violated rows
+until none is left.  Every working set is one banded LU (``dgbtrf``, the
+last one cached); the minimizer and each row's step direction are
+``dgbtrs`` solves on it, refined once with the same factors.  The
+refinement brings every KKT row to the roundoff of its own terms, so a
+returned step meets the dynamics, the held rows and stationarity each to
+its own scale.
 
 For a fixed active set the solution is affine in ``x``;
 :func:`prepare_feedback_map` caches that map on the matrix phase, and the
@@ -58,7 +62,7 @@ __all__ = [
 ]
 
 HESSIAN_REG = 1e-8
-DEFAULT_QP_MAX_ITER = 200
+QP_MAX_ITER = 200
 FEAS_TOL = 1e-9
 
 
@@ -208,10 +212,10 @@ class CondensedLhs:
     inequality rows active (see the module docstring and
     :class:`BandLayout`); ``factors`` caches ``(working set, LU, pivots,
     inactive multiplier positions)`` of the last working set factored.  The
-    stage blocks serve the structured products, ``phi`` stacks ``[phi_x
-    phi_u]`` per stage for the forward dynamics recursion, and ``bounds``
-    gives, when every inequality row bounds a single control, each row's
-    position in ``dw`` and its coefficient.  ``regularization`` is the shift
+    stage blocks serve the structured products, and ``bounds`` gives, when
+    every inequality row bounds a single control, each row's position in
+    ``dw`` and its coefficient (a warm set of such rows is independent iff
+    no two share a position).  ``regularization`` is the shift
     added to the Hessian blocks' diagonals (0 unless a block is not
     positive definite); the blocks held here include it.
     """
@@ -225,7 +229,6 @@ class CondensedLhs:
     hess_term: np.ndarray
     ineq_stage_blocks: np.ndarray  # (N, m, n_x+n_u)
     ineq_term_block: np.ndarray
-    phi: np.ndarray  # (N, n_x, n_x+n_u)
     bounds: tuple = None
     regularization: float = 0.0
     factors: tuple = None
@@ -240,8 +243,8 @@ class CondensedLhs:
 class QpSolution:
     """Full-space primal-dual solution of the structured QP.
 
-    ``iterations`` counts the active-set iterations; 0 means the feedback
-    map served the solve.
+    ``iterations`` counts the active-set loop's KKT solves; 0 means the
+    feedback map served the solve.
     """
 
     dw: np.ndarray
@@ -345,7 +348,7 @@ def condense_lhs(data: OcpQpData) -> CondensedLhs:
         -C.ravel(), -C_T.ravel(),
     ])
 
-    # rows that bound one control each can be met by clipping (see _feasible_start)
+    # rows that bound one control each: a warm set of them is checked by position
     bounds = _bound_structure(C.reshape(-1, n_x + n_u)) if not C_T.shape[0] else None
     if bounds is not None and np.all(bounds[0] >= n_x):
         m = C.shape[1]
@@ -362,7 +365,6 @@ def condense_lhs(data: OcpQpData) -> CondensedLhs:
         hess_term=At,
         ineq_stage_blocks=C,
         ineq_term_block=C_T,
-        phi=phi,
         bounds=bounds,
         regularization=reg,
     )
@@ -385,21 +387,6 @@ def _factor(lhs: CondensedLhs, active):
             raise QpSolverError(f"KKT matrix singular for active set {key}")
         lhs.factors = (key, lu, piv, layout.h_pos[off])
     return lhs.factors[1:]
-
-
-def _rollout(lhs: CondensedLhs, dw, eq):
-    """Overwrite the states of ``dw`` with the forward dynamics recursion on its
-    controls, ``ds_0 = -eq_0`` and ``ds_{k+1} = [phi_x phi_u]_k (ds_k, du_k) +
-    eq_{k+1}`` for the shifted equality residuals ``eq``."""
-    N, n_x, phi = lhs.N, lhs.n_x, lhs.phi
-    stride = phi.shape[2]
-    gaps = eq[n_x:].reshape(N, n_x)
-    w = dw[: N * stride].reshape(N, stride)
-    w[0, :n_x] = -eq[:n_x]
-    for k in range(N - 1):
-        w[k + 1, :n_x] = np.dot(phi[k], w[k]) + gaps[k]
-    dw[N * stride :] = np.dot(phi[N - 1], w[N - 1]) + gaps[N - 1]
-    return dw
 
 
 def _kkt_rhs(lhs: CondensedLhs, grad, eq, ineq_res):
@@ -452,9 +439,19 @@ class _FullSpace:
         self.lhs, self.a, self.d = lhs, data.grad, -data.ineq_res
         self.bounds = lhs.bounds
 
-    def solve(self, W):
-        dw, lam, mu = _kkt_solve(self.lhs, self.rhs, W)
+    def solve(self, W, p=None):
+        if p is None:
+            rhs = self.rhs
+        else:  # row p's normal in the stationarity rows
+            rhs = np.zeros(self.lhs.layout.n)
+            rhs[self.lhs.layout.w_pos] = self.normal(p)
+        dw, lam, mu = _kkt_solve(self.lhs, rhs, W)
         return dw, mu[W], lam
+
+    def normal(self, p):
+        unit = np.zeros(self.d.shape[0])
+        unit[p] = 1.0
+        return ineq_jac_t_product(self.lhs, unit)
 
     def rows(self, dw):
         return ineq_jac_product(self.lhs, dw)
@@ -462,14 +459,10 @@ class _FullSpace:
     def grad(self, dw):
         return self.a + hess_product(self.lhs, dw)
 
-    def complete(self, dw):
-        return _rollout(self.lhs, dw, self.rhs[self.lhs.layout.g_pos])
-
     def dense_rows(self):
         layout = self.lhs.layout
         K = _band_product(self.lhs, np.eye(layout.n))  # holds -G and -H
-        rows = [-K[np.ix_(pos, layout.w_pos)] for pos in (layout.g_pos, layout.h_pos)]
-        return rows[0], -self.rhs[layout.g_pos], rows[1], self.d
+        return tuple(-K[np.ix_(pos, layout.w_pos)] for pos in (layout.g_pos, layout.h_pos))
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +521,17 @@ def prepare_feedback_map(lhs: CondensedLhs, data: OcpQpData, x_pred, warm_active
     lhs.feedback_map = fmap
 
 
-def condense_rhs_and_solve(
-    lhs: CondensedLhs,
-    data: OcpQpData,
-    x,
-    warm_active=None,
-    max_iter=DEFAULT_QP_MAX_ITER,
-) -> QpSolution:
+def condense_rhs_and_solve(lhs: CondensedLhs, data: OcpQpData, x, warm_active=None) -> QpSolution:
     """Vector phase: solve the QP for parameter ``x`` on the banded factorization.
 
     Reads only the vector quantities of ``data`` (which must correspond to
-    the matrices ``lhs`` was built from).  A primal active-set loop
+    the matrices ``lhs`` was built from).  A dual active-set loop
     (:func:`_active_set`, the policy :func:`solve_dense_qp` shares) starts
-    from ``warm_active``; where that set's point breaches a row, from the
-    controls clipped onto their bound rows, or, for rows that touch
-    states, from a phase-1 LP.  Each working set is one
-    refined banded KKT solve (:func:`_kkt_solve`), which gives the step
-    and its multipliers together.  Every iterate satisfies every row to
-    ``1e-9``.
+    at the minimizer with ``warm_active`` held and adds violated rows until
+    the returned step satisfies every row to ``1e-9``.  Each working set is
+    one banded LU; the minimizer and each added row's direction are refined
+    solves on it (:func:`_kkt_solve`), which give the step and its
+    multipliers together.
 
     If ``lhs`` holds a map for this very ``data`` object, it is evaluated
     first: where its active set stays optimal that point is returned with
@@ -559,19 +545,17 @@ def condense_rhs_and_solve(
         if point is not None:
             return QpSolution(*point, fmap[2], 0)
         warm = fmap[2]
-    dw, mu, active, lam, iterations, _ = _active_set(_FullSpace(lhs, data, x), warm, max_iter)
+    dw, mu, active, lam, iterations, _ = _active_set(_FullSpace(lhs, data, x), warm)
     return QpSolution(dw, lam, mu, active, iterations)
 
 
-def condense_and_solve(data: OcpQpData, x, warm_active=None, max_iter=DEFAULT_QP_MAX_ITER):
+def condense_and_solve(data: OcpQpData, x, warm_active=None):
     """Monolithic solve: both phases on fresh data."""
-    return condense_rhs_and_solve(
-        condense_lhs(data), data, x, warm_active=warm_active, max_iter=max_iter
-    )
+    return condense_rhs_and_solve(condense_lhs(data), data, x, warm_active=warm_active)
 
 
 # ---------------------------------------------------------------------------
-# Primal active-set method
+# Dual active-set method
 # ---------------------------------------------------------------------------
 
 
@@ -608,16 +592,24 @@ class _DenseSpace:
         self.H, self.q, self.C, self.d = H, q, C, d
         self.bounds = _bound_structure(C)
 
-    def solve(self, W):
+    def solve(self, W, p=None):
         """Minimizer with the rows ``W`` as equalities, their multipliers, and
-        the (empty) equality multipliers."""
+        the (empty) equality multipliers; with ``p``, the response of these
+        to a unit multiplier on row ``p``."""
         n, t = self.H.shape[0], len(W)
         K = np.zeros((n + t, n + t))
         K[:n, :n] = self.H
         K[:n, n:] = -self.C[W].T
         K[n:, :n] = self.C[W]
-        sol = np.linalg.solve(K, np.concatenate([-self.q, self.d[W]]))
+        if p is None:
+            rhs = np.concatenate([-self.q, self.d[W]])
+        else:
+            rhs = np.concatenate([self.C[p], np.zeros(t)])
+        sol = np.linalg.solve(K, rhs)
         return sol[:n], sol[n:], self.lam
+
+    def normal(self, p):
+        return self.C[p]
 
     def rows(self, x):
         return self.C @ x
@@ -625,159 +617,118 @@ class _DenseSpace:
     def grad(self, x):
         return self.H @ x + self.q
 
-    def complete(self, x):
-        return x
-
     def dense_rows(self):
-        n = self.H.shape[0]
-        return np.zeros((0, n)), np.zeros(0), self.C, self.d
+        return np.zeros((0, self.H.shape[0])), self.C
 
 
 def _independent(space, W):
     """Whether the rows ``W``, with the space's equality rows, are linearly independent."""
     if space.bounds is not None:
         return len(set(space.bounds[0][W].tolist())) == len(W)
-    E, _, C, _ = space.dense_rows()
+    E, C = space.dense_rows()
     rows = np.vstack([E, C[W]])
     return np.linalg.matrix_rank(rows) == rows.shape[0]
 
 
-def _feasible_start(space, x, feas_tol):
-    """A feasible point and a working set of rows tight there.
+def _active_set(space, warm_active):
+    """Dual active-set method (Goldfarb & Idnani) on ``space``; the one copy of
+    the QP policy.
 
-    Rows that each bound one variable are met by clipping ``x`` onto them
-    (the space then completes the point: the full space rolls its states
-    out), and the clipped rows form the working set.  Other rows get a
-    phase-1 LP and an empty working set.
-    """
-    d = space.d
-    if space.bounds is not None:
-        cols, coefs = space.bounds
-        limit = d / coefs
-        lb = np.full(x.shape[0], -np.inf)
-        ub = np.full(x.shape[0], np.inf)
-        np.maximum.at(lb, cols[coefs > 0], limit[coefs > 0])
-        np.minimum.at(ub, cols[coefs < 0], limit[coefs < 0])
-        if np.any(lb > ub + feas_tol):
-            clipped = space.complete(np.clip(x, np.minimum(lb, ub), np.maximum(lb, ub)))
-            raise QpInfeasibleError(
-                "contradictory bounds", violated=np.flatnonzero(d - space.rows(clipped) > feas_tol)
-            )
-        x = space.complete(np.clip(x, lb, ub))
-        tight = np.flatnonzero(space.rows(x) - d <= feas_tol)
-        _, first = np.unique(cols[tight], return_index=True)
-        return x, sorted(tight[first].tolist())
-    return _phase1_lp(*space.dense_rows(), feas_tol), []
+    ``space.solve(W)`` returns the minimizer with the rows ``W`` held as
+    equalities, the rows' multipliers and the equality multipliers;
+    ``space.solve(W, p)`` returns the response of all three to a unit
+    multiplier on row ``p`` (the full space reuses the factorization of
+    ``W``).  The loop starts at the minimizer of ``warm_active`` if its rows
+    are independent, else of the empty set, and drops the most negative
+    multiplier below ``-(1e-9 + 100 eps |grad|)`` until none is left.  That
+    point need not satisfy the other rows.  While one of them is violated by more than ``FEAS_TOL``, the
+    multiplier of the most violated one grows: if a held multiplier reaches
+    zero first, that row leaves the set, otherwise the row joins it once
+    tight.  A row whose normal depends on the set moves only the
+    multipliers, and if none of them decreases the QP is infeasible.  Ties
+    go to the smallest row index.  A point reached by such steps is solved
+    once more with the final set held.
 
-
-def _phase1_lp(E, e, C, d, feas_tol):
-    """Minimal-violation LP: min s subject to Cx + s >= d, Ex = e, s >= 0."""
-    from scipy.optimize import linprog
-
-    m, n = C.shape
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
-    A_ub = np.hstack([-C, -np.ones((m, 1))])
-    eq = {}
-    if E.shape[0]:
-        eq = dict(A_eq=np.hstack([E, np.zeros((E.shape[0], 1))]), b_eq=e)
-    bounds = [(None, None)] * n + [(0.0, None)]
-    res = linprog(cost, A_ub=A_ub, b_ub=-d, bounds=bounds, method="highs", **eq)
-    if not res.success or res.x[-1] > feas_tol:
-        viol = d - C @ res.x[:n] if res.success else np.arange(m)
-        raise QpInfeasibleError(
-            "no feasible point exists",
-            violated=np.flatnonzero(viol > feas_tol) if res.success else range(m),
-        )
-    return res.x[:n]
-
-
-def _active_set(space, warm_active, max_iter, feas_tol=FEAS_TOL):
-    """Primal active-set method on ``space``; the one copy of the QP policy.
-
-    ``space`` solves the QP with a working set of rows held as equalities,
-    returning the minimizer, the set's multipliers and the equality
-    multipliers, and evaluates the rows ``C x >= d``.  The loop starts from
-    ``warm_active`` if its rows are independent and its point is feasible,
-    else from :func:`_feasible_start`.  A step to the working set's
-    minimizer is cut by the first row it would breach (Bland style:
-    smallest row index on ties), which joins the set; at a minimizer the
-    most negative multiplier below ``-(1e-9 + 100 eps |grad|)`` leaves the
-    set (smallest row index on ties), otherwise the point is optimal.
-    Every iterate satisfies every row to ``feas_tol``.
-
-    Returns ``(x, mu, active_set, lam, iterations, changes)``.
+    Returns ``(x, mu, active_set, lam, solves, changes)``: ``solves``
+    counts the KKT solves (at most ``QP_MAX_ITER``), ``changes``
+    the working-set changes.
     """
     d = space.d
     m = d.shape[0]
-    W = sorted({int(i) for i in warm_active or ()})
+    W = sorted({int(i) for i in warm_active or ()})  # kept sorted: argmin takes the smallest row
     if W and not (m and _independent(space, W)):
         W = []
+    solves = 0
+
+    def solve(*args):
+        nonlocal solves
+        solves += 1
+        if solves > QP_MAX_ITER:
+            raise QpSolverError(f"active-set iteration cap ({QP_MAX_ITER}) exceeded")
+        return space.solve(*args)
+
     try:
-        point = space.solve(W)
+        x, mu_W, lam = solve(W)
     except (np.linalg.LinAlgError, QpSolverError):
         W = []
-        point = space.solve(W)
-    x = point[0]
-    if m and np.max(d - space.rows(x)) > feas_tol:
-        x, W = _feasible_start(space, x, feas_tol)
-        point = space.solve(W)
-    in_W = np.zeros(m, dtype=bool)
-    in_W[W] = True
+        x, mu_W, lam = solve(W)
     changes = 0
-    for it in range(1, max_iter + 1):
-        x_W, mu_W, lam = point
-        p = x_W - x
-        # ratio test over rows that the step drives toward their bound
-        Cp = space.rows(p)
-        mask = (~in_W) & (Cp < -1e-12)
-        blocker = -1
-        if mask.any():
-            slack = np.maximum(space.rows(x)[mask] - d[mask], 0.0)
-            ratios = slack / (-Cp[mask])
-            amin = ratios.min()
-            if amin < 1.0:
-                rows = np.flatnonzero(mask)
-                blocker = int(rows[ratios <= amin + 1e-12].min())
-        if blocker >= 0:
-            x = x + max(amin, 0.0) * p
-            W.append(blocker)
-            in_W[blocker] = True
-        else:
-            x = x_W
-            if not W:
-                return x, np.zeros(m), (), lam, it, changes
-            # negative multipliers below the attainable accuracy are noise;
-            # anything clearly beyond that scale must be dropped
-            mu_tol = 1e-9 + 100.0 * np.finfo(float).eps * np.max(np.abs(space.grad(x)))
-            if np.min(mu_W) >= -mu_tol:
-                mu = np.zeros(m)
-                mu[W] = np.maximum(mu_W, 0.0)
-                return x, mu, tuple(sorted(W)), lam, it, changes
-            worst = np.min(mu_W)
-            drop = min(W[i] for i in range(len(W)) if mu_W[i] <= worst + 1e-12)
-            W.remove(drop)
-            in_W[drop] = False
+    # negative multipliers below the attainable accuracy are noise;
+    # anything clearly beyond that scale must be dropped
+    while W and np.min(mu_W) < -(1e-9 + 100.0 * np.finfo(float).eps * np.max(np.abs(space.grad(x)))):
+        W.pop(int(np.argmin(mu_W)))
         changes += 1
-        point = space.solve(W)
-    raise QpSolverError(f"active-set iteration cap ({max_iter}) exceeded")
+        x, mu_W, lam = solve(W)
+    mu = np.zeros(m)
+    mu[W] = mu_W
+    stepped = False
+    while m:
+        viol = d - space.rows(x)
+        viol[W] = -np.inf
+        if np.max(viol) <= FEAS_TOL:
+            break
+        p = int(np.argmax(viol))
+        while p not in W:
+            dx, dmu, _ = solve(W, p)
+            normal = space.normal(p)
+            slope = float(normal @ dx)
+            full = np.inf  # the step that makes row p tight
+            # a normal in the span of the held rows leaves only roundoff in dx
+            if slope > 1e-10 * np.linalg.norm(normal) * np.linalg.norm(dx):
+                full = max(d[p] - float(normal @ x), 0.0) / slope
+            falling = np.flatnonzero(dmu < -1e-12 * np.max(np.abs(dmu), initial=0.0))
+            ratios = np.maximum(mu[W][falling], 0.0) / -dmu[falling]
+            partial = np.min(ratios, initial=np.inf)  # the step that zeroes a held multiplier
+            if full == partial == np.inf:
+                raise QpInfeasibleError("no feasible point exists", violated=[p])
+            step = min(full, partial)
+            x = x + step * dx
+            mu[W] += step * dmu
+            mu[p] += step
+            changes += 1
+            stepped = True
+            if full <= partial:
+                W = sorted(W + [p])
+            else:
+                mu[W.pop(int(falling[np.argmin(ratios)]))] = 0.0
+    if stepped:
+        # the steps carry the roundoff of every point they passed through;
+        # the final set's own solve brings the point (and lam, which the
+        # steps leave alone) back to its scale
+        x, mu_W, lam = solve(W)
+        mu = np.zeros(m)
+        mu[W] = mu_W
+    return x, np.maximum(mu, 0.0), tuple(W), lam, solves, changes
 
 
-def solve_dense_qp(
-    H,
-    q,
-    C=None,
-    d=None,
-    warm_active=None,
-    max_iter=DEFAULT_QP_MAX_ITER,
-    feas_tol=FEAS_TOL,
-) -> DenseQpResult:
-    """Primal active-set method for ``min 1/2 x'Hx + q'x s.t. Cx >= d``.
+def solve_dense_qp(H, q, C=None, d=None, warm_active=None) -> DenseQpResult:
+    """Dual active-set method for ``min 1/2 x'Hx + q'x s.t. Cx >= d``.
 
     ``H`` must be symmetric positive definite.  Each working set is solved
-    through its saddle-point system.  ``warm_active`` seeds the working set, which lets an identical re-solve
-    terminate without active-set changes.  The loop is :func:`_active_set`,
-    shared with the structured QP's vector phase.
+    through its saddle-point system.  ``warm_active`` seeds the working
+    set, which lets an identical re-solve terminate without active-set
+    changes.  The loop is :func:`_active_set`, shared with the structured
+    QP's vector phase.
     """
     H = np.asarray(H, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -789,7 +740,5 @@ def solve_dense_qp(
     d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
         raise QpSolverError("QP constraint bounds are not finite")
-    x, mu, active, _, it, changes = _active_set(
-        _DenseSpace(H, q, C, d), warm_active, max_iter, feas_tol
-    )
+    x, mu, active, _, it, changes = _active_set(_DenseSpace(H, q, C, d), warm_active)
     return DenseQpResult(x, mu, active, it, changes)

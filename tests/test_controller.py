@@ -314,6 +314,34 @@ class TestWarmStartedQp:
     def test_stage_controls_stay_within_bounds_on_both_grids(self, monkeypatch, name, index, N):
         assert self.worst_stage_control(monkeypatch, name, index, N) <= 40.0 + 1e-6
 
+    # A primal active-set loop took 37-41 iterations on one QP of each of
+    # these controllers in study scenario 2, walking a clipped start back
+    # one bound at a time.
+    @pytest.mark.parametrize("name", ["as-rti-a", "as-rti-b-2", "as-rti-c-2", "as-rti-d-2"])
+    def test_no_qp_of_study_scenario_2_takes_more_than_8_iterations(self, monkeypatch, name):
+        import asrti.controller as ctrl_mod
+        import asrti.mli as mli_mod
+
+        iterations = []
+
+        def counting(solve):
+            def counted(*args, **kwargs):
+                sol = solve(*args, **kwargs)
+                iterations.append(sol.iterations)
+                return sol
+
+            return counted
+
+        for module in (ctrl_mod, mli_mod):
+            monkeypatch.setattr(module, "condense_rhs_and_solve", counting(module.condense_rhs_and_solve))
+        cfg = ScenarioConfig()
+        metrics, _ = run_scenario(
+            build_pendulum_ocp(), pendulum_model(), ControllerConfig.from_name(name),
+            draw_scenario(cfg, 2), cfg, collect_kkt_metrics=False,
+        )
+        assert not metrics.failed and len(iterations) >= cfg.n_cycles
+        assert max(iterations) <= 8
+
 
 class TestSqpShift:
     """``sqp`` mode shifts its carried iterate by one interval on a uniform grid."""

@@ -300,6 +300,52 @@ class TestDenseQp:
         with pytest.raises(QpInfeasibleError):
             solve_dense_qp(H, q, C, d)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 5),
+        extra=st.integers(1, 4),
+    )
+    def test_duplicated_and_dependent_rows_match_enumeration(self, seed, n, m, extra):
+        # copies, scaled copies and nonnegative combinations of the rows add
+        # no new constraint, so the optimum is the original QP's; they make
+        # the active rows dependent, which leaves the multipliers free
+        rng = np.random.default_rng(seed)
+        H, q, C, d = random_dense_qp(rng, n, m)
+        q = 3.0 * q  # push the unconstrained minimizer out of the feasible set
+        weights = rng.uniform(0.0, 2.0, size=(extra, m)) * (rng.random((extra, m)) < 0.5)
+        weights[np.arange(extra), rng.integers(0, m, size=extra)] += 1.0
+        C_aug = np.vstack([C, weights @ C])
+        d_aug = np.concatenate([d, weights @ d])
+        order = rng.permutation(m + extra)
+        C_aug, d_aug = C_aug[order], d_aug[order]
+        x_ref, _ = enumerate_qp(H, q, C, d)
+        res = solve_dense_qp(H, q, C_aug, d_aug)
+        slack = C_aug @ res.x - d_aug
+        assert np.max(np.abs(res.x - x_ref)) < 1e-8
+        assert np.min(slack) >= -1e-9 and np.min(res.mu) >= 0.0
+        assert np.max(np.abs(H @ res.x + q - C_aug.T @ res.mu)) < 1e-8
+        assert np.max(np.abs(res.mu * slack)) < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 8),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_random_warm_set_matches_the_cold_solve(self, seed, n, m, share):
+        rng = np.random.default_rng(seed)
+        H, q, C, d = random_dense_qp(rng, n, m)
+        q = 3.0 * q
+        cold = solve_dense_qp(H, q, C, d)
+        warm = tuple(np.flatnonzero(rng.random(m) < share).tolist())
+        res = solve_dense_qp(H, q, C, d, warm_active=warm)
+        assert np.max(np.abs(res.x - cold.x)) < 1e-8
+        assert np.max(np.abs(res.mu - cold.mu)) < 1e-8
+        assert res.active_set == cold.active_set
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vectors_raise_solver_error(self, bad):
         H = np.eye(2)
@@ -518,8 +564,8 @@ class TestCondensing:
     )
     def test_rows_on_states_and_terminal_rows_are_solved(self, seed, N, n_x, m, m_T, margin):
         # general stage rows that read states, and terminal rows, around a
-        # known feasible point; cold solves start from greedy pinning or a
-        # phase-1 LP, warm ones from the cold solve's set
+        # known feasible point; cold solves start from the minimizer with no
+        # row held, warm ones from the cold solve's set
         rng = np.random.default_rng(seed)
         data = random_ocp_qp(rng, N, n_x, 1, n_bounds=False)
         data.ineq_stage_blocks = rng.normal(size=(N, m, n_x + 1))
@@ -534,6 +580,20 @@ class TestCondensing:
         cold = condense_and_solve(data, x)
         assert_kkt_point(data, x, cold)
         assert_kkt_point(data, x, condense_and_solve(data, x, warm_active=cold.active_set))
+
+    @pytest.mark.parametrize("warm", [None, (2,), (3,), (2, 3), (0, 3, 5)])
+    def test_contradictory_rows_on_states_raise_infeasible(self, warm):
+        # stage 1 asks for s_1[0] >= 1 and -s_1[0] >= 1 (rows 2 and 3); the
+        # other stages' rows are zero and always met
+        rng = np.random.default_rng(17)
+        data = random_ocp_qp(rng, 3, 2, 1, n_bounds=False)
+        data.ineq_stage_blocks = np.zeros((3, 2, 3))
+        data.ineq_stage_blocks[1, 0, 0] = 1.0
+        data.ineq_stage_blocks[1, 1, 0] = -1.0
+        data.ineq_res = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(QpInfeasibleError) as exc:
+            condense_and_solve(data, rng.normal(size=2), warm_active=warm)
+        assert exc.value.violated and set(exc.value.violated) <= {2, 3}
 
     @pytest.mark.parametrize("N", [20, 80])
     def test_converged_sqp_steps_meet_the_dynamics_to_their_own_scale(self, monkeypatch, N):
