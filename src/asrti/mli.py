@@ -197,7 +197,7 @@ def level_c(
 
     def qp_at(z):
         data = build_qp_data(nlp, z.w)
-        # the inequality rows are constant in OcpNlp, so only G' lam differs
+        # one QP structure serves both, so the rows cancel and only G' lam differs
         a = (
             data.grad
             + eq_jac_t_product(ref.phi_x, ref.phi_u, z.lam)
@@ -226,7 +226,7 @@ def level_b(
 
     def qp_at(z):
         g, h = nlp.constraint_values(z.w)
-        a = prep.data.grad + hess_product(prep.lhs, z.w - prep.ref.w)
+        a = prep.data.grad + hess_product(prep.data.structure, z.w - prep.ref.w)
         return prep.lhs, replace(prep.data, grad=a, eq_res=g, ineq_res=h)
 
     return _inner_iterations(nlp, x_pred, z_start, n_iters, warm_active, trace, qp_at)
@@ -255,10 +255,10 @@ def beta_vector(prep: PreparedLinearization, z_b: Iterate, nlp: OcpNlp):
     ``beta`` equals minus the true Lagrange gradient there.
     """
     data_b = build_qp_data(nlp, z_b.w)
-    # the inequality rows are constant in OcpNlp, so only G' lam differs
+    # one QP structure serves both, so the rows cancel and only G' lam differs
     return (
         prep.data.grad
-        + hess_product(prep.lhs, z_b.w - prep.ref.w)
+        + hess_product(prep.data.structure, z_b.w - prep.ref.w)
         - data_b.grad
         + eq_jac_t_product(data_b.phi_x, data_b.phi_u, z_b.lam)
         - eq_jac_t_product(prep.data.phi_x, prep.data.phi_u, z_b.lam)

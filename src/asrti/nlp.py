@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .integrators import IntegrationError, OdeModel, radau3_step, radau3_step_batch
-from .qp import build_qp_data, eq_jac_t_product, ineq_jac_t_product
+from .qp import build_qp_data, build_qp_structure, eq_jac_t_product, ineq_jac_t_product
 
 __all__ = [
     "OcpConfigError",
@@ -121,7 +121,10 @@ class OcpSpec:
     None or a :class:`LinearStageConstraint` on every interval, all with
     the same row count; ``terminal_constraint`` is None or a
     :class:`LinearTerminalConstraint`.  ``validate`` rejects anything
-    else.
+    else.  ``Q``, ``R`` and ``P`` must be symmetric, ``Q`` and ``P`` positive
+    semidefinite, ``R`` positive definite and every ``scale`` positive, or
+    :class:`OcpNlp` raises :class:`~asrti.qp.QpSolverError`: these keep the
+    QP convex and its KKT matrices nonsingular.
     """
 
     n_x: int
@@ -258,11 +261,11 @@ class OcpNlp:
     """Parametric NLP produced by multiple-shooting transcription.
 
     The spec's constant stage data is built once: the weight pair
-    ``(Q, R)`` with per-stage scales, the N+1 Hessian blocks, the stage
-    inequality rows ``(N, m, n_x+n_u)`` with offsets ``(N, m)`` and the
-    terminal rows ``(m_T, n_x)`` with their offset.  All N intervals are
-    integrated in one batched Radau step.  The QP layer reads the
-    stage structure together with the per-interval dynamics Jacobians.
+    ``(Q, R)`` with per-stage scales, the inequality offsets and
+    ``qp_structure`` (:class:`~asrti.qp.QpStructure`, which checks the
+    weights): the N+1 Hessian blocks, the stage and terminal inequality
+    rows and their KKT band, shared by every linearization.  All N
+    intervals are integrated in one batched Radau step.
     Pack/unpack helpers, the one-interval ``shift`` of an iterate
     (``uniform_grid`` tells whether every interval equals the first, the
     grids on which that shift is time-consistent) and evaluation counters,
@@ -291,16 +294,17 @@ class OcpNlp:
         scale = 2.0 * self._cost_scales[:, None, None]
         stage_hess[:, :n_x, :n_x] = scale * self._cost_Q
         stage_hess[:, n_x:, n_x:] = scale * self._cost_R
-        self._hess = list(stage_hess) + [2.0 * self._cost_P]
         cons = spec.stage_constraints
         if cons is None:
             cons = [LinearStageConstraint(np.zeros((0, n_x)), np.zeros((0, n_u)), np.zeros(0))] * N
-        self._ineq_C = np.array([np.hstack([c.C_s, c.C_u]) for c in cons])
         self._ineq_offset = np.array([c.offset for c in cons])
         term = spec.terminal_constraint
         if term is None:
             term = LinearTerminalConstraint(np.zeros((0, n_x)), np.zeros(0))
-        self._ineq_C_T, self._ineq_offset_T = term.C_s, term.offset
+        self._ineq_offset_T = term.offset
+        self.qp_structure = build_qp_structure(
+            stage_hess, 2.0 * self._cost_P, [np.hstack([c.C_s, c.C_u]) for c in cons], term.C_s
+        )
         self.n_h = self._ineq_offset.size + self._ineq_offset_T.size
 
     # -- layout -----------------------------------------------------------
@@ -381,10 +385,6 @@ class OcpNlp:
         grad[self.s_slice(self.N)] = 2.0 * (self._cost_P @ states[self.N])
         return grad
 
-    def hess_blocks(self, w):
-        """Gauss-Newton Lagrangian Hessian: the constant stage cost blocks."""
-        return self._hess
-
     # -- constraints ------------------------------------------------------
 
     def _step_all(self, states, controls, sensitivities):
@@ -410,10 +410,11 @@ class OcpNlp:
         if self.n_h:
             self.counters["constraint"] += self.N + (1 if self._ineq_offset_T.size else 0)
         split = self.N * self._stride
-        stage = np.matmul(self._ineq_C, w[:split].reshape(self.N, self._stride, 1))[:, :, 0]
+        C = self.qp_structure.ineq_stage
+        stage = np.matmul(C, w[:split].reshape(self.N, self._stride, 1))[:, :, 0]
         return np.concatenate([
             (stage + self._ineq_offset).reshape(-1),
-            self._ineq_C_T @ w[split:] + self._ineq_offset_T,
+            self.qp_structure.ineq_term @ w[split:] + self._ineq_offset_T,
         ])
 
     def constraint_values(self, w):
@@ -423,17 +424,16 @@ class OcpNlp:
         return self._eq_residual(states, nxt), self._ineq_values(w)
 
     def constraint_blocks(self, w):
-        """Residuals plus the stage-structured Jacobian blocks.
+        """Residuals plus the dynamics Jacobians.
 
-        Returns ``(g, h, phi_x, phi_u, hs_blocks, ht_block)`` where
-        ``phi_x``/``phi_u`` are the dynamics Jacobians per interval,
-        ``hs_blocks`` the constant ``(N, m, n_x + n_u)`` stage inequality
-        rows and ``ht_block`` the ``(m_T, n_x)`` terminal rows.
+        Returns ``(g, h, phi_x, phi_u)`` where ``phi_x``/``phi_u`` are the
+        dynamics Jacobians per interval; the constant inequality rows are in
+        ``qp_structure``.
         """
         states, controls = self.unpack(w)
         nxt, Sx, Su = self._step_all(states, controls, sensitivities=True)
         g = self._eq_residual(states, nxt)
-        return g, self._ineq_values(w), Sx, Su, self._ineq_C, self._ineq_C_T
+        return g, self._ineq_values(w), Sx, Su
 
 
 def transcribe(spec: OcpSpec) -> OcpNlp:
@@ -451,7 +451,7 @@ def _kkt_vectors_from_data(data, z: Iterate, x):
     """KKT residual vectors of ``z`` from QP data evaluated at ``z.w``."""
     stat = data.grad - eq_jac_t_product(data.phi_x, data.phi_u, z.lam)
     if data.n_h:
-        stat = stat - ineq_jac_t_product(data, z.mu)
+        stat = stat - ineq_jac_t_product(data.structure, z.mu)
     eq = data.eq_res.copy()
     eq[: data.n_x] -= x
     return stat, eq, np.maximum(0.0, -data.ineq_res), z.mu * data.ineq_res

@@ -16,8 +16,10 @@ is symmetric, and with the unknowns ordered stage by stage as
 ``(lam_k, s_k, u_k, mu_k)`` and the terminal stage as ``(lam_N, s_N, mu_T)``
 it is banded, with half-bandwidth ``2 n_x + n_u + m - 1`` for ``m`` rows per
 stage.  An inactive row stays in place as the identity row ``mu_i = 0``, so
-the band's pattern never changes.  The matrix phase (:func:`condense_lhs`)
-fills LAPACK band storage from the stage blocks; the vector phase
+the band's pattern never changes.  Only ``[phi_x phi_u]`` in it differs
+between linearizations: a :class:`QpStructure` holds the rest, built and
+checked once per OCP, and the matrix phase (:func:`condense_lhs`) writes
+``-[phi_x phi_u]`` into a copy of its band.  The vector phase
 (:func:`condense_rhs_and_solve`) runs a dual active-set loop (Goldfarb &
 Idnani, *Math. Programming* 27, 1983): it starts at the minimizer with the
 warm working set held, which need not be feasible, and adds violated rows
@@ -36,7 +38,6 @@ vector phase evaluates it while its active set stays optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -45,10 +46,12 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 __all__ = [
     "QpInfeasibleError",
     "QpSolverError",
+    "QpStructure",
     "OcpQpData",
     "CondensedLhs",
     "QpSolution",
     "DenseQpResult",
+    "build_qp_structure",
     "build_qp_data",
     "condense_lhs",
     "condense_rhs_and_solve",
@@ -61,7 +64,6 @@ __all__ = [
     "hess_product",
 ]
 
-HESSIAN_REG = 1e-8
 QP_MAX_ITER = 200
 FEAS_TOL = 1e-9
 
@@ -79,73 +81,8 @@ class QpInfeasibleError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Data containers
+# The constant structure and the data containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OcpQpData:
-    """One linearization of the OCP NLP, split into matrices and vectors.
-
-    Matrices: Hessian blocks (a list of N stage blocks of size n_x+n_u
-    plus the terminal n_x block), dynamics Jacobians ``phi_x`` /
-    ``phi_u``, the stage inequality rows ``(N, m, n_x+n_u)`` (a list of
-    equally sized blocks is stacked at construction) and the terminal rows.
-    Vectors: objective gradient ``grad``, equality residuals ``eq_res``
-    (initial-state value followed by the shooting gaps) and inequality
-    residuals ``ineq_res``.
-    """
-
-    N: int
-    n_x: int
-    n_u: int
-    hess_blocks: list
-    phi_x: np.ndarray
-    phi_u: np.ndarray
-    ineq_stage_blocks: np.ndarray
-    ineq_term_block: np.ndarray
-    grad: np.ndarray
-    eq_res: np.ndarray
-    ineq_res: np.ndarray
-
-    def __post_init__(self):
-        self.ineq_stage_blocks = np.asarray(self.ineq_stage_blocks, dtype=float)
-
-    @property
-    def n_w(self):
-        return (self.N + 1) * self.n_x + self.N * self.n_u
-
-    @property
-    def n_g(self):
-        return (self.N + 1) * self.n_x
-
-    @property
-    def n_h(self):
-        return int(self.ineq_res.shape[0])
-
-
-def build_qp_data(nlp, w, grad=None) -> OcpQpData:
-    """Evaluate all QP data of the NLP linearized at ``w``.
-
-    ``grad`` overrides the objective gradient (used by the inexact
-    iteration levels that approximate it instead of evaluating it).
-    """
-    g, h, phi_x, phi_u, hs_blocks, ht_block = nlp.constraint_blocks(w)
-    if grad is None:
-        grad = nlp.grad_f(w)
-    return OcpQpData(
-        N=nlp.N,
-        n_x=nlp.n_x,
-        n_u=nlp.n_u,
-        hess_blocks=nlp.hess_blocks(w),
-        phi_x=phi_x,
-        phi_u=phi_u,
-        ineq_stage_blocks=hs_blocks,
-        ineq_term_block=ht_block,
-        grad=np.asarray(grad, dtype=float),
-        eq_res=g,
-        ineq_res=h,
-    )
 
 
 @dataclass(frozen=True)
@@ -156,10 +93,10 @@ class BandLayout:
     ``(2 kl + ku + 1, n)`` Fortran array for ``kl = ku = bw``.  ``w_pos``,
     ``g_pos`` and ``h_pos`` place ``dw``, ``lam`` and ``mu`` in the KKT
     order.  Row 0 of ``fill`` holds the flat band index of each entry of the
-    stage Hessians, the terminal Hessian, ``[phi_x phi_u]``, the identities
-    of ``G``, the stage rows and the terminal rows, in that order; row 1
-    holds its mirror image.  The inequality entries start at ``split``, and
-    ``row_of`` names the row of each.
+    stage Hessians, the terminal Hessian, the identities of ``G``, the
+    stage rows and the terminal rows, in that order; row 1 holds its mirror
+    image.  The inequality entries start at ``split``, and ``row_of`` names
+    the row of each.  ``phi_fill`` places ``[phi_x phi_u]`` the same way.
     """
 
     n: int
@@ -170,9 +107,9 @@ class BandLayout:
     fill: np.ndarray
     split: int
     row_of: np.ndarray
+    phi_fill: np.ndarray
 
 
-@lru_cache(maxsize=8)
 def _band_layout(N, n_x, n_u, m, m_T) -> BandLayout:
     size = 2 * n_x + n_u + m  # one stage: lam_k, s_k, u_k, mu_k
     stage = np.arange(N)[:, None] * size
@@ -184,10 +121,10 @@ def _band_layout(N, n_x, n_u, m, m_T) -> BandLayout:
     groups = [
         (w[:, :, None], w[:, None, :]),
         (s_N[:, None], s_N),
-        (g_pos[n_x:].reshape(N, n_x, 1), w[:, None, :]),
         (g_pos, np.concatenate([w[:, :n_x].ravel(), s_N])),
         (h_stage[:, :, None], w[:, None, :]),
         (h_pos[N * m :, None], s_N),
+        (g_pos[n_x:].reshape(N, n_x, 1), w[:, None, :]),  # [phi_x phi_u], last
     ]
     pairs = [np.broadcast_arrays(*group) for group in groups]
     r = np.concatenate([rows.ravel() for rows, _ in pairs])
@@ -196,47 +133,146 @@ def _band_layout(N, n_x, n_u, m, m_T) -> BandLayout:
     fill = np.stack([c, r]) * (3 * bw + 1) + 2 * bw + np.stack([r - c, c - r])
     n_hess = pairs[0][0].size + pairs[1][0].size
     fill[1, :n_hess] = fill[0, :n_hess]  # the Hessian blocks hold both triangles
-    split = sum(rows.size for rows, _ in pairs[:4])
-    row_of = np.searchsorted(h_pos, r[split:])
+    split = sum(rows.size for rows, _ in pairs[:3])
+    phi = r.size - pairs[-1][0].size
+    row_of = np.searchsorted(h_pos, r[split:phi])
     w_pos = np.concatenate([w.ravel(), s_N])
     for array in (w_pos, g_pos, h_pos, fill, row_of):
-        array.setflags(write=False)  # shared by every lhs of this shape
-    return BandLayout(N * size + 2 * n_x + m_T, bw, w_pos, g_pos, h_pos, fill, split, row_of)
+        array.setflags(write=False)  # shared by every linearization of the OCP
+    return BandLayout(
+        N * size + 2 * n_x + m_T, bw, w_pos, g_pos, h_pos, fill[:, :phi], split, row_of, fill[:, phi:]
+    )
+
+
+@dataclass(frozen=True)
+class QpStructure:
+    """The constant part of an OCP's QPs, shared by all its linearizations.
+
+    ``hess_stage`` ``(N, n_x+n_u, n_x+n_u)`` and ``hess_term`` are the
+    Hessian blocks, ``ineq_stage`` ``(N, m, n_x+n_u)`` and ``ineq_term``
+    ``(m_T, n_x)`` the inequality rows.  ``band`` holds every entry of the
+    stage-ordered KKT matrix with all inequality rows active (see the
+    module docstring and :class:`BandLayout`) except ``-[phi_x phi_u]``,
+    which is zero there.  ``bounds`` gives, when every inequality row bounds
+    a single control, each row's position in ``dw`` and its coefficient (a
+    warm set of such rows is independent iff no two share a position).
+    Every array is read-only.
+    """
+
+    N: int
+    n_x: int
+    n_u: int
+    hess_stage: np.ndarray
+    hess_term: np.ndarray
+    ineq_stage: np.ndarray
+    ineq_term: np.ndarray
+    layout: BandLayout
+    band: np.ndarray
+    bounds: tuple
+
+
+def build_qp_structure(hess_stage, hess_term, ineq_stage, ineq_term) -> QpStructure:
+    """Check the constant QP blocks and fill the band they give.
+
+    Takes copies of the stage Hessians ``(N, n_x+n_u, n_x+n_u)``, the
+    terminal ``(n_x, n_x)`` Hessian, the stage rows ``(N, m, n_x+n_u)`` and
+    the terminal rows ``(m_T, n_x)``.  Raises :class:`QpSolverError` unless
+    every Hessian block is symmetric and positive semidefinite and every
+    stage block's control part is positive definite, each to ``100 eps`` of
+    the largest eigenvalue.  Then every KKT matrix with independent held
+    rows is nonsingular, whatever the dynamics: on the null space of ``G``
+    the initial rows fix ``s_0 = 0``, and a zero of ``dw' A dw`` forces
+    ``u_k = 0`` and so ``s_{k+1} = 0`` stage by stage.
+    """
+    hess_stage, hess_term, ineq_stage, ineq_term = (
+        np.array(a, dtype=float) for a in (hess_stage, hess_term, ineq_stage, ineq_term)
+    )
+    N, n_x = hess_stage.shape[0], hess_term.shape[0]
+    n_u = hess_stage.shape[1] - n_x
+    blocks = (hess_stage, hess_term[None])
+    asym = np.concatenate([np.max(np.abs(b - b.transpose(0, 2, 1)), axis=(1, 2)) for b in blocks])
+    eig = np.vstack([np.linalg.eigvalsh(b)[:, [0, -1]] for b in blocks])
+    floor = 100.0 * np.finfo(float).eps * np.max(eig)
+    control = np.linalg.eigvalsh(hess_stage[:, n_x:, n_x:])[:, 0]
+    for bad, defect in (
+        (asym > 1e-9, "is not symmetric"),
+        (eig[:, 0] < -floor, "is not positive semidefinite"),
+        (np.append(control <= floor, False), "has a control part that is not positive definite"),
+    ):
+        if np.any(bad):
+            raise QpSolverError(f"Hessian block {int(np.argmax(bad))} {defect}")
+
+    layout = _band_layout(N, n_x, n_u, ineq_stage.shape[1], ineq_term.shape[0])
+    band = np.zeros((layout.n, 3 * layout.bw + 1))
+    band.reshape(-1)[layout.fill] = np.concatenate([
+        hess_stage.ravel(), hess_term.ravel(), np.repeat([-1.0, 1.0], [n_x, N * n_x]),
+        -ineq_stage.ravel(), -ineq_term.ravel(),
+    ])
+    # rows that bound one control each: a warm set of them is checked by position
+    bounds = _bound_structure(ineq_stage.reshape(-1, n_x + n_u)) if not ineq_term.shape[0] else None
+    if bounds is not None and np.all(bounds[0] >= n_x):
+        m = ineq_stage.shape[1]
+        bounds = (bounds[0] + (n_x + n_u) * (np.arange(N * m) // m), bounds[1])
+    else:
+        bounds = None
+    for array in (hess_stage, hess_term, ineq_stage, ineq_term, band):
+        array.setflags(write=False)  # shared by every linearization of the OCP
+    return QpStructure(N, n_x, n_u, hess_stage, hess_term, ineq_stage, ineq_term, layout, band, bounds)
+
+
+@dataclass
+class OcpQpData:
+    """One linearization of the OCP NLP: the shared structure plus what varies.
+
+    ``structure`` holds the constant Hessian blocks and inequality rows
+    (:class:`QpStructure`); the linearization adds the dynamics Jacobians
+    ``phi_x`` / ``phi_u``, the objective gradient ``grad``, the equality
+    residuals ``eq_res`` (initial-state value followed by the shooting
+    gaps) and the inequality residuals ``ineq_res``.
+    """
+
+    structure: QpStructure
+    phi_x: np.ndarray
+    phi_u: np.ndarray
+    grad: np.ndarray
+    eq_res: np.ndarray
+    ineq_res: np.ndarray
+
+    # the sizes and the structure's blocks under the names of a self-contained QP
+    N = property(lambda self: self.structure.N)
+    n_x = property(lambda self: self.structure.n_x)
+    n_u = property(lambda self: self.structure.n_u)
+    n_w = property(lambda self: self.grad.shape[0])
+    n_g = property(lambda self: self.eq_res.shape[0])
+    n_h = property(lambda self: self.ineq_res.shape[0])
+    hess_blocks = property(lambda self: [*self.structure.hess_stage, self.structure.hess_term])
+    ineq_stage_blocks = property(lambda self: self.structure.ineq_stage)
+    ineq_term_block = property(lambda self: self.structure.ineq_term)
+
+
+def build_qp_data(nlp, w) -> OcpQpData:
+    """Evaluate the QP data of the NLP linearized at ``w``."""
+    g, h, phi_x, phi_u = nlp.constraint_blocks(w)
+    return OcpQpData(nlp.qp_structure, phi_x, phi_u, nlp.grad_f(w), g, h)
 
 
 @dataclass
 class CondensedLhs:
     """Matrix phase: the QP's KKT matrix in LAPACK band storage.
 
-    ``band`` holds every entry of the stage-ordered KKT matrix with all
-    inequality rows active (see the module docstring and
-    :class:`BandLayout`); ``factors`` caches ``(working set, LU, pivots,
-    inactive multiplier positions)`` of the last working set factored.  The
-    stage blocks serve the structured products, and ``bounds`` gives, when
-    every inequality row bounds a single control, each row's position in
-    ``dw`` and its coefficient (a warm set of such rows is independent iff
-    no two share a position).  ``regularization`` is the shift
-    added to the Hessian blocks' diagonals (0 unless a block is not
-    positive definite); the blocks held here include it.
+    ``band`` is the structure's band with ``-[phi_x phi_u]`` written in;
+    ``factors`` caches ``(working set, LU, pivots, inactive multiplier
+    positions)`` of the last working set factored.
     """
 
-    N: int
-    n_x: int
-    n_u: int
+    structure: QpStructure
     band: np.ndarray
-    layout: BandLayout
-    hess_stage: np.ndarray  # (N, n_x+n_u, n_x+n_u)
-    hess_term: np.ndarray
-    ineq_stage_blocks: np.ndarray  # (N, m, n_x+n_u)
-    ineq_term_block: np.ndarray
-    bounds: tuple = None
-    regularization: float = 0.0
     factors: tuple = None
     feedback_map: tuple = None  # cached by prepare_feedback_map
 
-    @property
-    def n_w(self):
-        return (self.N + 1) * self.n_x + self.N * self.n_u
+    # the Hessian is never shifted; kept because perfbench's condense_lhs
+    # trace counts regularized Hessians from this attribute
+    regularization = 0.0
 
 
 @dataclass
@@ -259,23 +295,23 @@ class QpSolution:
 # ---------------------------------------------------------------------------
 
 
-def hess_product(lhs: CondensedLhs, v):
+def hess_product(structure: QpStructure, v):
     """``A v`` for the block-diagonal stacked Hessian."""
-    stride = lhs.n_x + lhs.n_u
-    split = lhs.N * stride
+    stride = structure.n_x + structure.n_u
+    split = structure.N * stride
     out = np.empty_like(v)
-    stage = np.matmul(lhs.hess_stage, v[:split].reshape(lhs.N, stride, -1))
+    stage = np.matmul(structure.hess_stage, v[:split].reshape(structure.N, stride, -1))
     out[:split] = stage.reshape(out[:split].shape)
-    out[split:] = lhs.hess_term @ v[split:]
+    out[split:] = structure.hess_term @ v[split:]
     return out
 
 
-def ineq_jac_product(data_like, dw):
-    """``H dw`` from the stage and terminal inequality rows (QP data or lhs)."""
-    stride = data_like.n_x + data_like.n_u
-    split = data_like.N * stride
-    stage = np.matmul(data_like.ineq_stage_blocks, dw[:split].reshape(data_like.N, stride, -1))
-    term = data_like.ineq_term_block @ dw[split:]
+def ineq_jac_product(structure: QpStructure, dw):
+    """``H dw`` from the stage and terminal inequality rows."""
+    stride = structure.n_x + structure.n_u
+    split = structure.N * stride
+    stage = np.matmul(structure.ineq_stage, dw[:split].reshape(structure.N, stride, -1))
+    term = structure.ineq_term @ dw[split:]
     return np.concatenate([stage.reshape((-1,) + dw.shape[1:]), term])
 
 
@@ -297,15 +333,15 @@ def eq_jac_t_product(phi_x, phi_u, lam):
     return out
 
 
-def ineq_jac_t_product(data, mu):
-    """``H' mu`` from the stage and terminal inequality rows (QP data or lhs)."""
-    C = data.ineq_stage_blocks
+def ineq_jac_t_product(structure: QpStructure, mu):
+    """``H' mu`` from the stage and terminal inequality rows."""
+    C = structure.ineq_stage
     N, m = C.shape[0], C.shape[1]
     split = N * C.shape[2]
-    out = np.empty((data.n_w,) + mu.shape[1:])
+    out = np.empty((split + structure.n_x,) + mu.shape[1:])
     mu3 = mu[: N * m].reshape(N, m, mu.shape[1] if mu.ndim > 1 else 1)
     out[:split] = np.matmul(C.transpose(0, 2, 1), mu3).reshape(out[:split].shape)
-    out[split:] = data.ineq_term_block.T @ mu[N * m :]
+    out[split:] = structure.ineq_term.T @ mu[N * m :]
     return out
 
 
@@ -315,59 +351,16 @@ def ineq_jac_t_product(data, mu):
 
 
 def condense_lhs(data: OcpQpData) -> CondensedLhs:
-    """Matrix phase: fill the banded KKT matrix from the stage blocks.
+    """Matrix phase: the structure's band with ``-[phi_x phi_u]`` written in.
 
-    Only the matrix quantities of ``data`` are read.  The Hessian blocks
-    must be symmetric.  If one is not positive definite, every block's
-    diagonal is shifted by ``HESSIAN_REG``; a block that is still not
-    positive definite is an error.  No factorization happens here: the
-    vector phase factors the band for each working set it visits.
+    Only ``data.phi_x`` and ``data.phi_u`` are read; the constant blocks
+    were checked when the structure was built.  No factorization happens
+    here: the vector phase factors the band for each working set it visits.
     """
-    N, n_x, n_u = data.N, data.n_x, data.n_u
-    Ab = np.stack(data.hess_blocks[:N])
-    At = np.array(data.hess_blocks[N], dtype=float, copy=True)
-    asym = np.append(
-        np.max(np.abs(Ab - Ab.transpose(0, 2, 1)), axis=(1, 2)), np.max(np.abs(At - At.T))
-    )
-    if np.any(asym > 1e-9):
-        k = int(np.argmax(asym > 1e-9))
-        raise QpSolverError(f"Hessian block {k} is not symmetric")
-    lowest = min(np.linalg.eigvalsh(Ab).min(), np.linalg.eigvalsh(At).min())
-    reg = HESSIAN_REG if lowest <= 0.0 else 0.0
-    if lowest + reg <= 0.0:
-        raise QpSolverError("Hessian blocks not positive definite after regularization")
-    Ab, At = Ab + reg * np.eye(n_x + n_u), At + reg * np.eye(n_x)
-
-    C = np.array(data.ineq_stage_blocks, copy=True)
-    C_T = np.array(data.ineq_term_block, dtype=float, copy=True)
-    phi = np.concatenate([data.phi_x, data.phi_u], axis=2)
-    layout = _band_layout(N, n_x, n_u, C.shape[1], C_T.shape[0])
-    band = np.zeros((layout.n, 3 * layout.bw + 1))
-    band.reshape(-1)[layout.fill] = np.concatenate([
-        Ab.ravel(), At.ravel(), -phi.ravel(), np.repeat([-1.0, 1.0], [n_x, N * n_x]),
-        -C.ravel(), -C_T.ravel(),
-    ])
-
-    # rows that bound one control each: a warm set of them is checked by position
-    bounds = _bound_structure(C.reshape(-1, n_x + n_u)) if not C_T.shape[0] else None
-    if bounds is not None and np.all(bounds[0] >= n_x):
-        m = C.shape[1]
-        bounds = (bounds[0] + (n_x + n_u) * (np.arange(N * m) // m), bounds[1])
-    else:
-        bounds = None
-    return CondensedLhs(
-        N=N,
-        n_x=n_x,
-        n_u=n_u,
-        band=band,
-        layout=layout,
-        hess_stage=Ab,
-        hess_term=At,
-        ineq_stage_blocks=C,
-        ineq_term_block=C_T,
-        bounds=bounds,
-        regularization=reg,
-    )
+    structure = data.structure
+    band = structure.band.copy()
+    band.reshape(-1)[structure.layout.phi_fill] = -np.concatenate([data.phi_x, data.phi_u], axis=2).ravel()
+    return CondensedLhs(structure, band)
 
 
 def _factor(lhs: CondensedLhs, active):
@@ -375,7 +368,7 @@ def _factor(lhs: CondensedLhs, active):
     positions of the inactive rows' multipliers; the last one is cached."""
     key = tuple(sorted(active))
     if lhs.factors is None or lhs.factors[0] != key:
-        layout = lhs.layout
+        layout = lhs.structure.layout
         off = np.ones(layout.h_pos.shape[0], dtype=bool)
         off[list(key)] = False
         band = lhs.band.copy()
@@ -391,7 +384,7 @@ def _factor(lhs: CondensedLhs, active):
 
 def _kkt_rhs(lhs: CondensedLhs, grad, eq, ineq_res):
     """The KKT right-hand side in the stage order; inputs may carry columns."""
-    layout = lhs.layout
+    layout = lhs.structure.layout
     rhs = np.empty((layout.n,) + eq.shape[1:])
     rhs[layout.w_pos] = -grad
     rhs[layout.g_pos] = eq
@@ -406,7 +399,7 @@ def _kkt_solve(lhs: CondensedLhs, rhs, active):
     factors, which brings each row's residual to the roundoff of its own
     terms; inactive rows get ``mu = 0``.  ``rhs`` may carry columns.
     """
-    layout = lhs.layout
+    layout = lhs.structure.layout
     lu, piv, off = _factor(lhs, active)
     sol, _ = dgbtrs(lu, layout.bw, layout.bw, rhs, piv)
     sol[off] = 0.0
@@ -418,7 +411,7 @@ def _kkt_solve(lhs: CondensedLhs, rhs, active):
 
 def _band_product(lhs: CondensedLhs, z):
     """``K z`` for the band with every inequality row active; ``z`` may carry columns."""
-    n, bw = lhs.layout.n, lhs.layout.bw
+    n, bw = lhs.structure.layout.n, lhs.structure.layout.bw
     # The band reads as a general band with bw sub- and 2 bw superdiagonals
     # (the top bw are zero).  BLAS takes at least 3 bw + 1 rows; the rows
     # past n read band entries outside the matrix, which are zero.
@@ -432,35 +425,36 @@ class _FullSpace:
 
     def __init__(self, lhs: CondensedLhs, data: OcpQpData, x):
         eq = data.eq_res.copy()
-        eq[: lhs.n_x] -= x
+        eq[: data.n_x] -= x
         self.rhs = _kkt_rhs(lhs, data.grad, eq, data.ineq_res)
         if not np.all(np.isfinite(self.rhs)):
             raise QpSolverError("QP vectors are not finite")
         self.lhs, self.a, self.d = lhs, data.grad, -data.ineq_res
-        self.bounds = lhs.bounds
+        self.structure = lhs.structure
+        self.bounds = lhs.structure.bounds
 
     def solve(self, W, p=None):
         if p is None:
             rhs = self.rhs
         else:  # row p's normal in the stationarity rows
-            rhs = np.zeros(self.lhs.layout.n)
-            rhs[self.lhs.layout.w_pos] = self.normal(p)
+            rhs = np.zeros(self.structure.layout.n)
+            rhs[self.structure.layout.w_pos] = self.normal(p)
         dw, lam, mu = _kkt_solve(self.lhs, rhs, W)
         return dw, mu[W], lam
 
     def normal(self, p):
         unit = np.zeros(self.d.shape[0])
         unit[p] = 1.0
-        return ineq_jac_t_product(self.lhs, unit)
+        return ineq_jac_t_product(self.structure, unit)
 
     def rows(self, dw):
-        return ineq_jac_product(self.lhs, dw)
+        return ineq_jac_product(self.structure, dw)
 
     def grad(self, dw):
-        return self.a + hess_product(self.lhs, dw)
+        return self.a + hess_product(self.structure, dw)
 
     def dense_rows(self):
-        layout = self.lhs.layout
+        layout = self.structure.layout
         K = _band_product(self.lhs, np.eye(layout.n))  # holds -G and -H
         return tuple(-K[np.ix_(pos, layout.w_pos)] for pos in (layout.g_pos, layout.h_pos))
 
@@ -475,14 +469,14 @@ def _fixed_active_map(lhs: CondensedLhs, data: OcpQpData, x_pred, active):
     ``offset + slope (x - x_pred)``, stacking ``(dw, lam, mu, slack)``.  Column 0
     solves the QP at ``x_pred``, column ``j`` the response to ``x = e_j``; all
     columns come from one banded solve."""
-    n_x = lhs.n_x
+    n_x = data.n_x
     first = np.eye(1, n_x + 1)[0]
     eq = np.outer(data.eq_res, first)
     eq[:n_x] -= np.hstack([x_pred[:, None], np.eye(n_x)])
     ineq_res = np.outer(data.ineq_res, first)
     rhs = _kkt_rhs(lhs, np.outer(data.grad, first), eq, ineq_res)
     dw, lam, mu = _kkt_solve(lhs, rhs, list(active))
-    stacked = np.concatenate([dw, lam, mu, ineq_res + ineq_jac_product(lhs, dw)])
+    stacked = np.concatenate([dw, lam, mu, ineq_res + ineq_jac_product(lhs.structure, dw)])
     mask = np.zeros(data.n_h, dtype=bool)
     mask[list(active)] = True
     return data, x_pred, active, mask, stacked[:, 0], stacked[:, 1:]

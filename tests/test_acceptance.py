@@ -30,7 +30,7 @@ from asrti.mli import (
     sqp_solve,
 )
 from asrti.nlp import Iterate, eval_kkt, transcribe
-from asrti.qp import OcpQpData, condense_and_solve, solve_dense_qp
+from asrti.qp import OcpQpData, build_qp_structure, condense_and_solve, solve_dense_qp
 
 
 def verdict(name, ok, detail):
@@ -113,12 +113,9 @@ def random_ocp_qp(rng, N, n_x, n_u, with_bounds):
         ineq_res = np.zeros(0)
     n_w = (N + 1) * n_x + N * n_u
     return OcpQpData(
-        N=N, n_x=n_x, n_u=n_u,
-        hess_blocks=hess_blocks,
+        structure=build_qp_structure(hess_blocks[:N], hess_blocks[N], ineq_blocks, np.zeros((0, n_x))),
         phi_x=rng.normal(size=(N, n_x, n_x)) * 0.7,
         phi_u=rng.normal(size=(N, n_x, n_u)),
-        ineq_stage_blocks=ineq_blocks,
-        ineq_term_block=np.zeros((0, n_x)),
         grad=rng.normal(size=n_w),
         eq_res=rng.normal(size=(N + 1) * n_x),
         ineq_res=ineq_res,

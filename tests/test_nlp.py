@@ -58,7 +58,8 @@ def toy_spec(N=2, n_x=4, n_u=1):
 
 def dense_jacobians(nlp, w):
     """Residuals and dense Jacobians ``(g, h, G, H)`` assembled from the stage blocks."""
-    g, h, phi_x, phi_u, C, C_T = nlp.constraint_blocks(w)
+    g, h, phi_x, phi_u = nlp.constraint_blocks(w)
+    C, C_T = nlp.qp_structure.ineq_stage, nlp.qp_structure.ineq_term
     N, n_x, m = nlp.N, nlp.n_x, C.shape[1]
     G = np.zeros((nlp.n_g, nlp.n_w))
     H = np.zeros((nlp.n_h, nlp.n_w))

@@ -16,12 +16,13 @@ from asrti.benchmark import (
 from asrti.controller import AsRtiController, ControllerConfig, predict_state
 from asrti.integrators import simulate_plant
 from asrti.mli import level_b, level_c, prepare_linearization, sqp_solve
-from asrti.nlp import transcribe
+from asrti.nlp import OcpNlp, QuadraticStageCost, transcribe
 from asrti.qp import (
     OcpQpData,
     QpInfeasibleError,
     QpSolverError,
     build_qp_data,
+    build_qp_structure,
     condense_and_solve,
     condense_lhs,
     condense_rhs_and_solve,
@@ -103,18 +104,19 @@ def random_ocp_qp(rng, N, n_x, n_u, n_bounds=True):
         ineq_res = np.zeros(0)
     n_w = (N + 1) * n_x + N * n_u
     return OcpQpData(
-        N=N,
-        n_x=n_x,
-        n_u=n_u,
-        hess_blocks=hess_blocks,
+        structure=build_qp_structure(hess_blocks[:N], hess_blocks[N], ineq_blocks, np.zeros((0, n_x))),
         phi_x=phi_x,
         phi_u=phi_u,
-        ineq_stage_blocks=ineq_blocks,
-        ineq_term_block=np.zeros((0, n_x)),
         grad=rng.normal(size=n_w),
         eq_res=rng.normal(size=(N + 1) * n_x),
         ineq_res=ineq_res,
     )
+
+
+def with_rows(data, C, C_T, ineq_res):
+    """``data`` with the stage rows ``C``, the terminal rows ``C_T`` and their residuals."""
+    s = data.structure
+    return replace(data, structure=build_qp_structure(s.hess_stage, s.hess_term, C, C_T), ineq_res=ineq_res)
 
 
 def dense_eq_jacobian(data):
@@ -210,15 +212,14 @@ def solve_dense_kkt(data, x, active):
     return sol[: data.n_w], sol[data.n_w : data.n_w + data.n_g], mu
 
 
-def band_as_dense(lhs):
-    """The band of ``lhs`` (every inequality row active) as a dense matrix,
-    unknowns ordered ``(dw, lam, mu)``."""
-    layout = lhs.layout
+def band_as_dense(band, layout):
+    """A KKT band (every inequality row active) as a dense matrix, unknowns
+    ordered ``(dw, lam, mu)``."""
     n, bw = layout.n, layout.bw
     K = np.zeros((n, n))
     for j in range(n):
         for i in range(max(0, j - bw), min(n, j + bw + 1)):
-            K[i, j] = lhs.band[j, 2 * bw + i - j]
+            K[i, j] = band[j, 2 * bw + i - j]
     order = np.concatenate([layout.w_pos, layout.g_pos, layout.h_pos])
     return K[np.ix_(order, order)]
 
@@ -369,14 +370,9 @@ class TestCondensing:
         # on u0: min u0^2 + u0 over u0 = s1 gives u0 = s1 = -1/2, and
         # stationarity gives lam1 = -s1 and lam0 = s0 = x.
         data = OcpQpData(
-            N=1,
-            n_x=1,
-            n_u=1,
-            hess_blocks=[np.eye(2), np.eye(1)],
+            structure=build_qp_structure([np.eye(2)], np.eye(1), [np.zeros((0, 2))], np.zeros((0, 1))),
             phi_x=np.zeros((1, 1, 1)),
             phi_u=np.ones((1, 1, 1)),
-            ineq_stage_blocks=[np.zeros((0, 2))],
-            ineq_term_block=np.zeros((0, 1)),
             grad=np.array([0.0, 1.0, 0.0]),
             eq_res=np.zeros(2),
             ineq_res=np.zeros(0),
@@ -390,8 +386,8 @@ class TestCondensing:
             [-1.0, 0.0, 0.0, 0.0, 0.0],
             [0.0, -1.0, 1.0, 0.0, 0.0],
         ])
-        assert lhs.layout.bw == 2
-        assert np.array_equal(band_as_dense(lhs), hand)
+        assert lhs.structure.layout.bw == 2
+        assert np.array_equal(band_as_dense(lhs.band, lhs.structure.layout), hand)
         sol = condense_rhs_and_solve(lhs, data, np.array([0.3]))
         assert np.max(np.abs(sol.dw - [0.3, -0.5, -0.5])) < 1e-15
         assert np.max(np.abs(sol.lam - [0.3, 0.5])) < 1e-15
@@ -399,10 +395,10 @@ class TestCondensing:
     def test_empty_inequalities_give_zero_rows(self):
         rng = np.random.default_rng(1)
         data = random_ocp_qp(rng, 3, 2, 1, n_bounds=False)
-        lhs = condense_lhs(data)
-        assert lhs.layout.h_pos.shape == (0,)
-        assert lhs.layout.n == data.n_w + data.n_g
-        assert lhs.bounds is None
+        layout = data.structure.layout
+        assert layout.h_pos.shape == (0,)
+        assert layout.n == data.n_w + data.n_g
+        assert data.structure.bounds is None
 
     def test_condensed_hessian_equals_schur_complement_oracle(self):
         # the band holds the dense full-space KKT matrix entry for entry,
@@ -413,8 +409,8 @@ class TestCondensing:
             data = random_ocp_qp(rng, N, 3, 2)
             lhs = condense_lhs(data)
             K, _ = dense_kkt(data, np.zeros(3), range(data.n_h))
-            assert lhs.layout.bw == 2 * 3 + 2 + 4 - 1
-            assert np.array_equal(band_as_dense(lhs), K)
+            assert lhs.structure.layout.bw == 2 * 3 + 2 + 4 - 1
+            assert np.array_equal(band_as_dense(lhs.band, lhs.structure.layout), K)
             x = rng.normal(size=3)
             sol = condense_rhs_and_solve(lhs, data, x)
             ref = solve_dense_kkt(data, x, sol.active_set)
@@ -455,11 +451,9 @@ class TestCondensing:
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.mu, b.mu)
         # the cached matrix phase serves fresh vectors identically
-        data2 = random_ocp_qp(rng, 4, 3, 2)
-        data2.phi_x = data.phi_x
-        data2.phi_u = data.phi_u
-        data2.hess_blocks = data.hess_blocks
-        data2.ineq_stage_blocks = data.ineq_stage_blocks
+        data2 = replace(
+            random_ocp_qp(rng, 4, 3, 2), structure=data.structure, phi_x=data.phi_x, phi_u=data.phi_u
+        )
         c = condense_rhs_and_solve(lhs, data2, x)
         d = condense_and_solve(data2, x)
         assert np.array_equal(c.dw, d.dw)
@@ -481,7 +475,7 @@ class TestCondensing:
         data = build_qp_data(nlp, z.w)
         sol = condense_and_solve(data, x)
         assert len(sol.active_set) > 0
-        hval = data.ineq_res + ineq_jac_product(data, sol.dw)
+        hval = data.ineq_res + ineq_jac_product(data.structure, sol.dw)
         for i in sol.active_set:
             assert abs(hval[i]) < 1e-8
             assert abs(sol.mu[i] * hval[i]) < 1e-10
@@ -495,9 +489,9 @@ class TestCondensing:
         lam = rng.normal(size=data.n_g)
         mu = rng.normal(size=data.n_h)
         assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
-        assert np.allclose(ineq_jac_t_product(data, mu), H.T @ mu)
-        assert np.allclose(ineq_jac_product(data, v), H @ v)
-        assert np.allclose(hess_product(condense_lhs(data), v), A @ v)
+        assert np.allclose(ineq_jac_t_product(data.structure, mu), H.T @ mu)
+        assert np.allclose(ineq_jac_product(data.structure, v), H @ v)
+        assert np.allclose(hess_product(data.structure, v), A @ v)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -511,11 +505,11 @@ class TestCondensing:
     @example(seed=0, N=3, n_x=2, n_u=1, m=0, m_T=2)
     def test_structured_products_match_dense_oracle(self, seed, N, n_x, n_u, m, m_T):
         rng = np.random.default_rng(seed)
-        data = replace(
+        data = with_rows(
             random_ocp_qp(rng, N, n_x, n_u, n_bounds=False),
-            ineq_stage_blocks=list(rng.normal(size=(N, m, n_x + n_u))),
-            ineq_term_block=rng.normal(size=(m_T, n_x)),
-            ineq_res=rng.normal(size=N * m + m_T),
+            list(rng.normal(size=(N, m, n_x + n_u))),
+            rng.normal(size=(m_T, n_x)),
+            rng.normal(size=N * m + m_T),
         )
         lhs = condense_lhs(data)
         A, H = dense_blocks(data)
@@ -526,13 +520,16 @@ class TestCondensing:
             lam = rng.normal(size=(data.n_g,) + cols)
             mu = rng.normal(size=(data.n_h,) + cols)
             assert np.allclose(eq_jac_t_product(data.phi_x, data.phi_u, lam), G.T @ lam)
-            for rows in (data, lhs):
-                assert np.allclose(ineq_jac_product(rows, v), H @ v)
-                assert np.allclose(ineq_jac_t_product(rows, mu), H.T @ mu)
-            assert np.allclose(hess_product(lhs, v), A @ v)
-        # stage rows touching states and terminal rows sit in the band too
+            assert np.allclose(ineq_jac_product(data.structure, v), H @ v)
+            assert np.allclose(ineq_jac_t_product(data.structure, mu), H.T @ mu)
+            assert np.allclose(hess_product(data.structure, v), A @ v)
+        # stage rows touching states and terminal rows sit in the band too,
+        # and the structure's band is the same matrix without [phi_x phi_u]
         K, _ = dense_kkt(data, np.zeros(n_x), range(data.n_h))
-        assert np.array_equal(band_as_dense(lhs), K)
+        assert np.array_equal(band_as_dense(lhs.band, data.structure.layout), K)
+        no_phi = replace(data, phi_x=np.zeros_like(data.phi_x), phi_u=np.zeros_like(data.phi_u))
+        K, _ = dense_kkt(no_phi, np.zeros(n_x), range(data.n_h))
+        assert np.array_equal(band_as_dense(data.structure.band, data.structure.layout), K)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -568,15 +565,14 @@ class TestCondensing:
         # row held, warm ones from the cold solve's set
         rng = np.random.default_rng(seed)
         data = random_ocp_qp(rng, N, n_x, 1, n_bounds=False)
-        data.ineq_stage_blocks = rng.normal(size=(N, m, n_x + 1))
-        data.ineq_term_block = rng.normal(size=(m_T, n_x))
+        data = with_rows(data, rng.normal(size=(N, m, n_x + 1)), rng.normal(size=(m_T, n_x)), None)
         x = rng.normal(size=n_x)
         shifted = data.eq_res.copy()
         shifted[:n_x] -= x
         G = dense_eq_jacobian(data)
         feasible = np.linalg.lstsq(G, -shifted, rcond=None)[0]
         margins = margin * rng.uniform(0.0, 1.0, size=N * m + m_T)
-        data.ineq_res = margins - ineq_jac_product(data, feasible)
+        data.ineq_res = margins - ineq_jac_product(data.structure, feasible)
         cold = condense_and_solve(data, x)
         assert_kkt_point(data, x, cold)
         assert_kkt_point(data, x, condense_and_solve(data, x, warm_active=cold.active_set))
@@ -586,11 +582,13 @@ class TestCondensing:
         # stage 1 asks for s_1[0] >= 1 and -s_1[0] >= 1 (rows 2 and 3); the
         # other stages' rows are zero and always met
         rng = np.random.default_rng(17)
-        data = random_ocp_qp(rng, 3, 2, 1, n_bounds=False)
-        data.ineq_stage_blocks = np.zeros((3, 2, 3))
-        data.ineq_stage_blocks[1, 0, 0] = 1.0
-        data.ineq_stage_blocks[1, 1, 0] = -1.0
-        data.ineq_res = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+        C = np.zeros((3, 2, 3))
+        C[1, 0, 0] = 1.0
+        C[1, 1, 0] = -1.0
+        data = with_rows(
+            random_ocp_qp(rng, 3, 2, 1, n_bounds=False), C, np.zeros((0, 2)),
+            np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0]),
+        )
         with pytest.raises(QpInfeasibleError) as exc:
             condense_and_solve(data, rng.normal(size=2), warm_active=warm)
         assert exc.value.violated and set(exc.value.violated) <= {2, 3}
@@ -622,12 +620,75 @@ class TestCondensing:
             scale = max(np.max(np.abs(eq)), np.max(np.abs(G_dw)))
             assert np.max(np.abs(eq + G_dw)) <= 1e-6 * scale
 
-    def test_asymmetric_hessian_block_rejected(self):
+
+# ---------------------------------------------------------------------------
+# The constant structure
+# ---------------------------------------------------------------------------
+
+
+class TestQpStructure:
+    @pytest.mark.parametrize("defect", ["asymmetric", "indefinite", "zero_control_block"])
+    def test_bad_hessian_blocks_rejected(self, defect):
         rng = np.random.default_rng(15)
-        data = random_ocp_qp(rng, 2, 2, 1)
-        data.hess_blocks[0] = data.hess_blocks[0] + np.triu(np.ones((3, 3)), 1)
+        s = random_ocp_qp(rng, 2, 2, 1).structure
+        hess = s.hess_stage.copy()
+        if defect == "asymmetric":
+            hess[0] += np.triu(np.ones((3, 3)), 1)
+            message = "block 0 is not symmetric"
+        elif defect == "indefinite":
+            hess[1, 0, 0] = -1.0
+            message = "block 1 is not positive semidefinite"
+        else:  # a positive semidefinite block that leaves the control free
+            hess[1] = np.diag([1.0, 1.0, 0.0])
+            message = "block 1 has a control part"
+        with pytest.raises(QpSolverError, match=message):
+            build_qp_structure(hess, s.hess_term, s.ineq_stage, s.ineq_term)
+
+    @pytest.mark.parametrize("defect", ["indefinite_Q", "zero_R", "zero_scale"])
+    def test_ocp_nlp_rejects_weights_without_a_convex_qp(self, defect):
+        spec = build_pendulum_ocp()
+        cost = spec.stage_costs[0]
+        if defect == "indefinite_Q":
+            Q = cost.Q.copy()
+            Q[2, 2] = -1.0
+            spec.stage_costs = [QuadraticStageCost(Q, c.R, c.scale) for c in spec.stage_costs]
+        elif defect == "zero_R":
+            spec.stage_costs = [QuadraticStageCost(c.Q, 0.0 * c.R, c.scale) for c in spec.stage_costs]
+        else:
+            spec.stage_costs = list(spec.stage_costs)
+            spec.stage_costs[3] = QuadraticStageCost(cost.Q, cost.R, 0.0)
         with pytest.raises(QpSolverError):
-            condense_lhs(data)
+            OcpNlp(spec)
+        with pytest.raises(QpSolverError):
+            transcribe(spec)
+
+    @pytest.mark.parametrize("N", [20, 80])
+    def test_state_weights_with_zeros_give_a_nonsingular_qp(self, N):
+        # Q = diag(100, 1e3, 0, 0) makes every stage block singular; the
+        # initial rows and the dynamics still pin the states down
+        nlp = transcribe(build_pendulum_ocp(n_intervals=N, state_weights=(100.0, 1e3, 0.0, 0.0)))
+        x = np.array([0.0, 0.3, 4.0, -3.0])
+        data = build_qp_data(nlp, nlp.cold_start(x).w)
+        sol = condense_and_solve(data, x)
+        assert len(sol.active_set) > 0
+        ref = solve_dense_kkt(data, x, sol.active_set)
+        assert relative_error((sol.dw, sol.lam, sol.mu), ref) < 1e-8
+
+    def test_linearizations_share_one_read_only_structure(self):
+        nlp = transcribe(build_pendulum_ocp())
+        x = np.array([0.1, 0.2, 0.0, 0.0])
+        z = nlp.cold_start(x)
+        first, second = build_qp_data(nlp, z.w), build_qp_data(nlp, z.w + 0.1)
+        structure = first.structure
+        assert second.structure is structure is nlp.qp_structure
+        arrays = (structure.hess_stage, structure.hess_term, structure.ineq_stage, structure.ineq_term)
+        for array in arrays + (structure.band,):
+            assert not array.flags.writeable
+        band = structure.band.copy()
+        lhs = condense_lhs(second)
+        condense_rhs_and_solve(lhs, second, x)
+        assert np.array_equal(structure.band, band)
+        assert lhs.band is not structure.band and not np.array_equal(lhs.band, band)
 
 
 # ---------------------------------------------------------------------------
